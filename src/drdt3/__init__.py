@@ -1,7 +1,7 @@
 """Diffusion-refined decision sequence modelling on toy offline-RL tasks."""
 
 from .autodiff import DArray, backward, check_gradients
-from .config import EvalConfig, TrainConfig
+from .config import TrainConfig
 from .diffusion import (DiffusionSchedule, NoiseApproximatorParams,
                         denoise_step, diffusion_loss, forward_noise,
                         predict_noise, sample_action, vp_schedule)
@@ -15,7 +15,7 @@ from .training import AdamW, MetricsLog, dt3_loss, train, unified_loss
 
 __all__ = [
     "DArray", "backward", "check_gradients",
-    "TrainConfig", "EvalConfig",
+    "TrainConfig",
     "DiffusionSchedule", "NoiseApproximatorParams", "vp_schedule",
     "forward_noise", "predict_noise", "denoise_step", "sample_action",
     "diffusion_loss",

@@ -13,11 +13,11 @@ import json
 
 import numpy as np
 
-from .config import TrainConfig, config_to_dict
+from .config import ConfigError, TrainConfig, config_to_dict
 from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
 
-MAGIC = b"drdt3-bundle/1\n"
+MAGIC = b"drdt3-bundle/2\n"
 
 
 class BundleFormatError(ValueError):
@@ -104,22 +104,31 @@ def load_bundle(path):
         line = fh.readline()
         if not line.endswith(b"\n"):
             raise BundleFormatError("truncated bundle header")
-        header = json.loads(line)
-        config = TrainConfig(**header["config"]).validate()
+        try:
+            header = json.loads(line)
+            odd = set(header["config"]) ^ set(config_to_dict(TrainConfig()))
+            if odd:
+                raise ConfigError(f"unknown or missing keys {sorted(odd)}")
+            config = TrainConfig(**header["config"]).validate()
 
-        rng = np.random.default_rng(0)  # shapes only; values overwritten below
-        dt3 = DT3Params.init(rng, header["d_s"], header["d_a"], config)
-        noise = NoiseApproximatorParams(
-            header["d_a"], config.cond_hidden, config.time_embed_dim,
-            config.mlp_expansion, config.noise_approx_variant, rng,
-        )
-        bundle = PolicyBundle(
-            config, dt3, noise, header["env_id"], header["d_s"], header["d_a"],
-            header["state_mean"], header["state_std"], header["rtg_norm"],
-            header["initial_return"], header["seed"],
-        )
+            rng = np.random.default_rng(0)  # shapes only; values read below
+            dt3 = DT3Params.init(rng, header["d_s"], header["d_a"], config)
+            noise = NoiseApproximatorParams(
+                header["d_a"], config.cond_hidden, config.time_embed_dim,
+                config.mlp_expansion, config.noise_approx_variant, rng,
+            )
+            bundle = PolicyBundle(
+                config, dt3, noise, header["env_id"], header["d_s"],
+                header["d_a"], header["state_mean"], header["state_std"],
+                header["rtg_norm"], header["initial_return"], header["seed"],
+            )
+            manifest = header["manifest"]
+        except (ValueError, KeyError, TypeError) as e:
+            raise BundleFormatError(
+                f"bad bundle header ({type(e).__name__}: {e})"
+            ) from None
         params = dict(bundle.named_params())
-        for name, shape in header["manifest"]:
+        for name, shape in manifest:
             if name not in params:
                 raise BundleFormatError(f"unknown parameter {name!r} in manifest")
             n_el = int(np.prod(shape)) if shape else 1

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -18,11 +17,11 @@ import time
 import numpy as np
 
 from .bundle import BundleFormatError, load_bundle
-from .config import ConfigError, EvalConfig, config_to_dict, load_config
-from .envs import make_env, make_env_spec, normalized_score, rollout
+from .config import ConfigError, TrainConfig, config_to_dict, load_config
+from .envs import make_env_spec, normalized_score
 from .plotting import PlotError, plot_metrics
 from .store_io import StoreFormatError, export_text, load_store, save_store
-from .training import MetricsLog, TrainingAborted, train
+from .training import MetricsLog, TrainingAborted, evaluate_episodes, train
 
 
 def _fail(msg, code=1):
@@ -52,8 +51,7 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     try:
-        cfg = load_config(args.config) if args.config else \
-            __import__("drdt3.config", fromlist=["TrainConfig"]).TrainConfig()
+        cfg = load_config(args.config) if args.config else TrainConfig()
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
@@ -113,38 +111,24 @@ def cmd_eval(args):
         bundle = load_bundle(args.bundle)
     except (BundleFormatError, OSError) as e:
         return _fail(e)
-    env_id = args.env or bundle.env_id
-    spec = make_env_spec(env_id)
-    if spec.d_s != bundle.d_s or spec.d_a != bundle.d_a:
-        return _fail(
-            f"dimension mismatch: env {env_id} has d_s={spec.d_s}, "
-            f"d_a={spec.d_a} but bundle was trained with d_s={bundle.d_s}, "
-            f"d_a={bundle.d_a}"
+    try:
+        returns, successes, g0s = evaluate_episodes(
+            bundle, args.episodes, args.seed, rtg_scale=args.eta,
+            mode=args.mode,
         )
-    eval_cfg = EvalConfig(rtg_scale=args.eta, episodes=args.episodes,
-                          seed=args.seed).validate()
-    returns, successes, g0s = [], [], []
-    rows = []
-    for ep in range(eval_cfg.episodes):
-        env = make_env(env_id)
-        rng = np.random.default_rng((eval_cfg.seed, ep))
-        ret, _, g0 = rollout(bundle, env, eval_cfg, rng, mode=args.mode)
-        returns.append(ret)
-        successes.append(1.0 if ret > 0 else 0.0)
-        g0s.append(g0)
-        rows.append((ep, ret, successes[-1], g0))
-    returns = np.array(returns)
-    succ = float(np.mean(successes))
-    norm = normalized_score(returns.mean(), spec)
-    print(f"episodes: {eval_cfg.episodes}  mode: {args.mode}")
+    except ValueError as e:
+        return _fail(e)
+    norm = normalized_score(returns.mean(), make_env_spec(bundle.env_id))
+    print(f"episodes: {args.episodes}  mode: {args.mode}")
     print(f"return: {returns.mean():.4f} +/- {returns.std():.4f}")
-    print(f"success rate: {succ:.3f}")
+    print(f"success rate: {successes.mean():.3f}")
     print(f"normalized score: {norm:.2f}")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["episode", "return", "success", "g0"])
-            w.writerows((e, repr(r), repr(s), repr(g)) for e, r, s, g in rows)
+            rows = np.column_stack([returns, successes, g0s]).tolist()
+            w.writerows([ep, *map(repr, row)] for ep, row in enumerate(rows))
     return 0
 
 
@@ -205,7 +189,6 @@ def build_parser():
 
     e = sub.add_parser("eval", help="evaluate a trained bundle")
     e.add_argument("--bundle", required=True)
-    e.add_argument("--env", default=None)
     e.add_argument("--episodes", type=int, default=10)
     e.add_argument("--eta", type=float, default=1.0,
                    help="initial return scale factor")

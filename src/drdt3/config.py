@@ -17,9 +17,7 @@ class TrainConfig:
     embed_dim: int = 128
     n_heads: int = 1
     inner_lr: float = 1.0
-    ttt_proj_rank: int = 0          # 0 = full-rank projections
     max_episode_len: int = 64
-    include_action_tokens: bool = True
     dt_mode: bool = False           # replace the TTT sub-layer with identity
     condition_on_rtg: bool = True   # False zeroes the RTG channel (BC-style)
 
@@ -56,7 +54,9 @@ class TrainConfig:
             raise ConfigError("zeta must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.embed_dim % max(self.n_heads, 1) != 0:
+        if self.n_heads < 1:
+            raise ConfigError("n_heads must be >= 1")
+        if self.embed_dim % self.n_heads != 0:
             raise ConfigError("embed_dim must be divisible by n_heads")
         if self.dt3_loss_norm not in ("l1", "l2"):
             raise ConfigError(f"unknown dt3_loss_norm: {self.dt3_loss_norm!r}")
@@ -72,20 +72,12 @@ class TrainConfig:
             raise ConfigError("n_diffusion_steps must be >= 1")
         if not (0 < self.beta_min <= self.beta_max):
             raise ConfigError("need 0 < beta_min <= beta_max")
-        return self
-
-
-@dataclass
-class EvalConfig:
-    rtg_scale: float = 1.0
-    episodes: int = 10
-    seed: int = 0
-
-    def validate(self):
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.eval_episodes < 0:
+            raise ConfigError("eval_episodes must be >= 0")
         if self.rtg_scale <= 0:
             raise ConfigError("rtg_scale must be > 0")
-        if self.episodes < 1:
-            raise ConfigError("episodes must be >= 1")
         return self
 
 
@@ -103,9 +95,9 @@ def _coerce(name, raw, typ):
         raise ConfigError(f"line for {name!r}: {e}") from None
 
 
-def parse_config_text(text, cls=TrainConfig):
-    """Parse `key = value` lines into `cls`; unknown keys are rejected."""
-    by_name = {f.name: f for f in fields(cls)}
+def parse_config_text(text):
+    """Parse `key = value` lines into a TrainConfig; unknown keys are rejected."""
+    by_name = {f.name: f for f in fields(TrainConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -117,7 +109,7 @@ def parse_config_text(text, cls=TrainConfig):
         if key not in by_name:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw, _field_type(by_name[key]))
-    return cls(**values).validate()
+    return TrainConfig(**values).validate()
 
 
 def _field_type(f):
@@ -129,9 +121,9 @@ def _field_type(f):
     return t
 
 
-def load_config(path, cls=TrainConfig):
+def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), cls)
+        return parse_config_text(fh.read())
 
 
 def config_to_dict(cfg):

@@ -11,7 +11,7 @@ stated update); set sqrt_beta_noise=True for the standard DDPM scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,14 +183,6 @@ def predict_noise(a_i, cond_action, i, params, sched=None):
 # Reverse process
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReverseStepTrace:
-    steps: list = field(default_factory=list)   # (i, a_i, eps_hat, a_prev)
-
-    def record(self, i, a_i, eps_hat, a_prev):
-        self.steps.append((i, np.array(a_i), np.array(eps_hat), np.array(a_prev)))
-
-
 def denoise_step(a_i, cond_action, i, params, sched, noise,
                  sqrt_beta_noise=False):
     """One reverse step:
@@ -213,17 +205,14 @@ def denoise_step(a_i, cond_action, i, params, sched, noise,
 
 
 def sample_action(cond_action, params, sched, rng, action_bound=None,
-                  sqrt_beta_noise=False, trace=None):
+                  sqrt_beta_noise=False):
     """Run the full reverse chain from Gaussian noise; returns (d_a,) action."""
     cond = np.atleast_2d(np.asarray(cond_action, dtype=np.float64))
     a = rng.standard_normal(cond.shape)
     for i in range(sched.n_steps, 0, -1):
         noise = rng.standard_normal(cond.shape) if i > 1 else np.zeros_like(a)
-        a_prev, eps_hat = denoise_step(a, cond, i, params, sched, noise,
-                                       sqrt_beta_noise=sqrt_beta_noise)
-        if trace is not None:
-            trace.record(i, a, eps_hat, a_prev)
-        a = a_prev
+        a, _ = denoise_step(a, cond, i, params, sched, noise,
+                            sqrt_beta_noise=sqrt_beta_noise)
     if action_bound is not None:
         a = np.clip(a, -action_bound, action_bound)
     return a[0]

@@ -17,6 +17,10 @@ from . import autodiff as ad
 from .autodiff import DArray
 
 
+# Tokens per step: (return-to-go, state, action).
+TOKENS_PER_STEP = 3
+
+
 class TimestepRangeError(IndexError):
     """A context timestep falls outside the learned embedding table."""
 
@@ -111,44 +115,25 @@ class TTTLinearLayer:
     """Fast-weight layer: W starts at W0 each sequence and takes one
     gradient step on the token reconstruction loss per real token."""
 
-    def __init__(self, w0, theta_q, theta_k, theta_v, inner_lr, rank=0):
+    def __init__(self, w0, theta_q, theta_k, theta_v, inner_lr):
         self.w0 = w0
-        self.theta_q = theta_q      # full (d,d), or (A, B) pair when factored
+        self.theta_q = theta_q
         self.theta_k = theta_k
         self.theta_v = theta_v
         self.inner_lr = float(inner_lr)
-        self.rank = rank
 
     @classmethod
-    def init(cls, rng, d, inner_lr, rank=0, std=0.02):
+    def init(cls, rng, d, inner_lr, std=0.02):
         def proj():
-            if rank > 0:
-                return (
-                    DArray(rng.normal(0.0, std, size=(d, rank)), requires_grad=True),
-                    DArray(rng.normal(0.0, std, size=(rank, d)), requires_grad=True),
-                )
             return DArray(rng.normal(0.0, std, size=(d, d)), requires_grad=True)
         w0 = DArray(np.zeros((d, d)), requires_grad=True)
-        return cls(w0, proj(), proj(), proj(), inner_lr, rank)
-
-    def _theta(self, t):
-        if self.rank > 0:
-            return ad.matmul(t[0], t[1])
-        return t
-
-    def thetas(self):
-        return (self._theta(self.theta_q), self._theta(self.theta_k),
-                self._theta(self.theta_v))
+        return cls(w0, proj(), proj(), proj(), inner_lr)
 
     def named(self, prefix):
-        out = [(prefix + ".w0", self.w0)]
-        for name, t in (("theta_q", self.theta_q), ("theta_k", self.theta_k),
-                        ("theta_v", self.theta_v)):
-            if self.rank > 0:
-                out += [(f"{prefix}.{name}.a", t[0]), (f"{prefix}.{name}.b", t[1])]
-            else:
-                out.append((f"{prefix}.{name}", t))
-        return out
+        return [(prefix + ".w0", self.w0),
+                (prefix + ".theta_q", self.theta_q),
+                (prefix + ".theta_k", self.theta_k),
+                (prefix + ".theta_v", self.theta_v)]
 
 
 class AttentionTTTBlock:
@@ -160,14 +145,14 @@ class AttentionTTTBlock:
         self.ln2_g, self.ln2_b = ln2_g, ln2_b
 
     @classmethod
-    def init(cls, rng, d, n_heads, inner_lr, rank=0):
+    def init(cls, rng, d, n_heads, inner_lr):
         if d % n_heads != 0:
             raise ValueError(f"embed dim {d} not divisible by {n_heads} heads")
         mk = lambda: Linear.init(rng, d, d)
         ones = lambda: DArray(np.ones(d), requires_grad=True)
         zeros = lambda: DArray(np.zeros(d), requires_grad=True)
         return cls(mk(), mk(), mk(), mk(), n_heads, ones(), zeros(),
-                   TTTLinearLayer.init(rng, d, inner_lr, rank), ones(), zeros())
+                   TTTLinearLayer.init(rng, d, inner_lr), ones(), zeros())
 
     def named(self, prefix):
         out = []
@@ -182,7 +167,7 @@ class AttentionTTTBlock:
 
 class DT3Params:
     def __init__(self, proj_rtg, proj_state, proj_action, time_table, block,
-                 lnf_g, lnf_b, head, include_action_tokens=True, dt_mode=False):
+                 lnf_g, lnf_b, head, dt_mode=False):
         self.proj_rtg = proj_rtg
         self.proj_state = proj_state
         self.proj_action = proj_action
@@ -190,7 +175,6 @@ class DT3Params:
         self.block = block
         self.lnf_g, self.lnf_b = lnf_g, lnf_b
         self.head = head
-        self.include_action_tokens = include_action_tokens
         self.dt_mode = dt_mode
 
     @classmethod
@@ -202,18 +186,12 @@ class DT3Params:
             Linear.init(rng, d_a, d),
             DArray(rng.normal(0.0, 0.02, size=(cfg.max_episode_len, d)),
                    requires_grad=True),
-            AttentionTTTBlock.init(rng, d, cfg.n_heads, cfg.inner_lr,
-                                   cfg.ttt_proj_rank),
+            AttentionTTTBlock.init(rng, d, cfg.n_heads, cfg.inner_lr),
             DArray(np.ones(d), requires_grad=True),
             DArray(np.zeros(d), requires_grad=True),
             Linear.init(rng, d, d_a),
-            include_action_tokens=cfg.include_action_tokens,
             dt_mode=cfg.dt_mode,
         )
-
-    @property
-    def tokens_per_step(self):
-        return 3 if self.include_action_tokens else 2
 
     def named(self):
         out = []
@@ -237,8 +215,8 @@ class DT3Params:
 def embed_context(batch, params):
     """Project each modality, add timestep embeddings, interleave per step.
 
-    Returns (tokens, token_mask): tokens (B, m*K, d) with per-step order
-    (rtg, state[, action]); token_mask (B, m*K) bool.
+    Returns (tokens, token_mask): tokens (B, 3K, d) with per-step order
+    (rtg, state, action); token_mask (B, 3K) bool.
     """
     b, k = batch.rtgs.shape
     if batch.timesteps.min() < 0 or \
@@ -250,12 +228,11 @@ def embed_context(batch, params):
     temb = ad.embedding(params.time_table, batch.timesteps)      # (B,K,d)
     tok_rtg = params.proj_rtg(DArray(batch.rtgs[..., None])) + temb
     tok_state = params.proj_state(DArray(batch.states)) + temb
-    mods = [tok_rtg, tok_state]
-    if params.include_action_tokens:
-        mods.append(params.proj_action(DArray(batch.actions)) + temb)
-    m = len(mods)
+    tok_action = params.proj_action(DArray(batch.actions)) + temb
+    m = TOKENS_PER_STEP
     d = params.time_table.shape[1]
-    stacked = ad.concat([ad.reshape(t, (b, k, 1, d)) for t in mods], axis=2)
+    stacked = ad.concat([ad.reshape(t, (b, k, 1, d))
+                         for t in (tok_rtg, tok_state, tok_action)], axis=2)
     tokens = ad.reshape(stacked, (b, m * k, d))
     token_mask = np.repeat(batch.pad_mask, m, axis=1)
     return tokens, token_mask
@@ -299,7 +276,7 @@ def ttt_forward(x, layer, token_mask):
     gradients reach theta_K / theta_V through the inner update.
     """
     b, s, d = x.shape
-    theta_q, theta_k, theta_v = layer.thetas()
+    theta_q, theta_k, theta_v = layer.theta_q, layer.theta_k, layer.theta_v
     w = ad.reshape(layer.w0, (1, d, d))
     zs = []
     for t in range(s):
@@ -332,8 +309,7 @@ def forward_hidden(batch, params):
 def predict_coarse_actions_batch(batch, params):
     """Coarse action sequence (B, K, d_a), read at state-token positions."""
     h, _ = forward_hidden(batch, params)
-    m = params.tokens_per_step
-    state_pos = np.arange(batch.context_len) * m + 1
+    state_pos = np.arange(batch.context_len) * TOKENS_PER_STEP + 1
     return params.head(ad.take_rows(h, state_pos, axis=1))
 
 

@@ -115,10 +115,13 @@ def compute_rtg(rewards):
     return np.cumsum(rewards[::-1])[::-1].copy()
 
 
-def initial_rtg(store, eta):
-    """Scale the best dataset return: multiply if positive, divide if not."""
-    g = store.max_return()
-    return eta * g if g >= 0 else g / eta
+def initial_rtg(best_return, eta):
+    """Target return for an evaluation episode: the best dataset return
+    scaled by eta > 0, multiplied if it is >= 0 and divided if it is < 0,
+    so that eta > 1 always asks for more."""
+    if not eta > 0:
+        raise ValueError(f"rtg scale eta must be > 0, got {eta!r}")
+    return eta * best_return if best_return >= 0 else best_return / eta
 
 
 def normalized_score(raw, spec):
@@ -344,10 +347,12 @@ def generate_dataset(env_id, tier, n_traj, seed):
 # Rollout (inference loop)
 # ---------------------------------------------------------------------------
 
-def rollout(bundle, env, eval_cfg, rng, mode="drdt3"):
+def rollout(bundle, env, rtg_scale, rng, mode="drdt3"):
     """One evaluated episode following the inference procedure: sliding
-    K-step context, RTG decremented by observed rewards, coarse prediction
-    optionally refined by the diffusion chain."""
+    K-step context, RTG starting at `initial_rtg(bundle.initial_return,
+    rtg_scale)` and decremented by observed rewards, coarse prediction
+    optionally refined by the diffusion chain. Returns (return, trajectory,
+    starting RTG)."""
     from .diffusion import vp_schedule
 
     spec = make_env_spec(env.env_id)
@@ -355,8 +360,7 @@ def rollout(bundle, env, eval_cfg, rng, mode="drdt3"):
     k = cfg.context_len
     sched = vp_schedule(cfg.n_diffusion_steps, cfg.beta_min, cfg.beta_max)
 
-    g0 = bundle.initial_return
-    g0 = eval_cfg.rtg_scale * g0 if g0 >= 0 else g0 / eval_cfg.rtg_scale
+    g0 = initial_rtg(bundle.initial_return, rtg_scale)
 
     state = env.reset()
     g = g0

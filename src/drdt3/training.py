@@ -19,7 +19,6 @@ from .bundle import fresh_bundle, save_bundle
 from .diffusion import diffusion_loss, vp_schedule
 from .dt3 import ContextBatch, predict_coarse_actions_batch
 from .envs import make_env, make_env_spec, rollout, normalized_score
-from .config import EvalConfig
 
 
 class TrainingAborted(RuntimeError):
@@ -184,22 +183,34 @@ def sample_context_batch(store, k, batch_size, rng, spec):
 # Training loop
 # ---------------------------------------------------------------------------
 
-def evaluate_bundle(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
-    """Mean return, success rate, and normalized score over seeded episodes."""
+def evaluate_episodes(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
+    """Per-episode returns, success flags (1.0 or 0.0) and starting RTGs,
+    as three float arrays. Episode `ep` draws from `default_rng((seed, ep))`.
+
+    Success on a sparse-reward env is any reward; on a dense-reward env it is
+    a return at or above the env's expert score.
+    """
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     spec = make_env_spec(bundle.env_id)
-    returns = []
+    returns, g0s = np.zeros(episodes), np.zeros(episodes)
     for ep in range(episodes):
         env = make_env(bundle.env_id)
         rng = np.random.default_rng((seed, ep))
-        ret, _, _ = rollout(
-            bundle, env, EvalConfig(rtg_scale=rtg_scale, episodes=1, seed=seed),
-            rng, mode=mode,
-        )
-        returns.append(ret)
-    returns = np.array(returns)
-    success = float(np.mean(returns > 0.0)) if spec.reward_kind == "sparse" \
-        else float(np.mean(returns >= spec.expert_score))
-    return float(returns.mean()), success, normalized_score(returns.mean(), spec)
+        returns[ep], _, g0s[ep] = rollout(bundle, env, rtg_scale, rng,
+                                          mode=mode)
+    hit = returns > 0.0 if spec.reward_kind == "sparse" \
+        else returns >= spec.expert_score
+    return returns, hit.astype(np.float64), g0s
+
+
+def evaluate_bundle(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
+    """Mean return, success rate, and normalized score over seeded episodes."""
+    returns, successes, _ = evaluate_episodes(bundle, episodes, seed,
+                                              rtg_scale, mode)
+    spec = make_env_spec(bundle.env_id)
+    return (float(returns.mean()), float(successes.mean()),
+            normalized_score(returns.mean(), spec))
 
 
 def train(config, store, out_dir=None, log_every=1, eval_each_epoch=True,

@@ -91,12 +91,18 @@ class TestTrain:
 
     def test_config_parse_error_exit_one(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("embed_dim = 8\nnot_a_field = 3\n")
-        rc = main(["train", "--config", str(bad),
-                   "--data", str(workspace / "stitch.bin"),
-                   "--out", str(tmp_path / "r")])
-        assert rc == 1
-        assert "not_a_field" in capsys.readouterr().err
+        for line, named in (("not_a_field = 3", "not_a_field"),
+                            ("n_heads = 0", "n_heads"),
+                            ("batch_size = 0", "batch_size"),
+                            ("rtg_scale = 0", "rtg_scale"),
+                            ("rtg_scale = -1", "rtg_scale"),
+                            ("eval_episodes = -1", "eval_episodes")):
+            bad.write_text(f"embed_dim = 8\n{line}\n")
+            rc = main(["train", "--config", str(bad),
+                       "--data", str(workspace / "stitch.bin"),
+                       "--out", str(tmp_path / "r")])
+            assert rc == 1, line
+            assert named in capsys.readouterr().err, line
 
     def test_missing_data_exit_one(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
@@ -159,12 +165,30 @@ class TestEval:
             assert main(["eval", "--bundle", bundle, "--episodes", "1",
                          "--mode", mode]) == 0
 
-    def test_dim_mismatch_named(self, workspace, capsys):
+    @pytest.mark.parametrize("flag,value", [("--episodes", "0"),
+                                            ("--eta", "0"), ("--eta", "-1")])
+    def test_invalid_argument_exit_one(self, workspace, capsys, flag, value):
         bundle = str(workspace / "run" / "bundle.drdt3")
-        rc = main(["eval", "--bundle", bundle, "--env", "pointreach",
-                   "--episodes", "1"])
+        rc = main(["eval", "--bundle", bundle, flag, value])
         assert rc == 1
-        assert "d_s" in capsys.readouterr().err
+        assert flag.lstrip("-") in capsys.readouterr().err
+
+    def test_dense_env_success_is_expert_score(self, tmp_path, capsys,
+                                               monkeypatch):
+        """On pointreach every reward is negative, so success must be judged
+        against the expert score, not against a positive return."""
+        from drdt3 import training
+        from drdt3.bundle import fresh_bundle, save_bundle
+        from drdt3.config import parse_config_text
+        from drdt3.envs import generate_dataset, make_env_spec
+        store = generate_dataset("pointreach", "medium", 2, seed=0)
+        path = tmp_path / "pr.drdt3"
+        save_bundle(fresh_bundle(parse_config_text(TINY_CFG), store), path)
+        expert = make_env_spec("pointreach").expert_score
+        monkeypatch.setattr(training, "rollout",
+                            lambda *args, **kwargs: (expert, None, 0.0))
+        assert main(["eval", "--bundle", str(path), "--episodes", "2"]) == 0
+        assert "success rate: 1.000" in capsys.readouterr().out
 
     def test_missing_bundle_exit_one(self, tmp_path):
         rc = main(["eval", "--bundle", str(tmp_path / "none.drdt3")])

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from drdt3 import autodiff as ad
 from drdt3.autodiff import DArray
-from drdt3.diffusion import (NoiseApproximatorParams, ReverseStepTrace,
-                             denoise_step, diffusion_loss, forward_noise,
-                             predict_noise, sample_action,
-                             sinusoidal_embedding, vp_schedule)
+from drdt3.diffusion import (NoiseApproximatorParams, denoise_step,
+                             diffusion_loss, forward_noise, predict_noise,
+                             sample_action, sinusoidal_embedding, vp_schedule)
 
 
 def zeroed_params(d_a=2, variant="full", seed=0):
@@ -190,14 +189,6 @@ class TestSampleAction:
         o1 = sample_action(np.zeros(2), p, s, np.random.default_rng(9))
         o2 = sample_action(np.zeros(2), p, s, np.random.default_rng(9))
         assert np.array_equal(o1, o2)
-
-    def test_trace_records_descending_steps(self):
-        s = vp_schedule(5)
-        p = zeroed_params()
-        trace = ReverseStepTrace()
-        sample_action(np.zeros(2), p, s, np.random.default_rng(10),
-                      trace=trace)
-        assert [t[0] for t in trace.steps] == [5, 4, 3, 2, 1]
 
 
 class TestDiffusionLoss:

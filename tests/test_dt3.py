@@ -267,31 +267,6 @@ class TestPredict:
         dt = predict_coarse_actions(w, params).data
         assert not np.allclose(full, dt)
 
-    def test_without_action_tokens(self):
-        rng = np.random.default_rng(21)
-        cfg = tiny_cfg(include_action_tokens=False)
-        params = DT3Params.init(rng, 3, 2, cfg)
-        out = predict_coarse_actions(make_window(), params)
-        assert out.shape == (3, 2)
-        # action values must not influence predictions in this mode
-        w2 = make_window()
-        w2.actions += 1.0
-        out2 = predict_coarse_actions(w2, params)
-        assert np.array_equal(out.data, out2.data)
-
-    def test_low_rank_projections(self):
-        rng = np.random.default_rng(22)
-        cfg = tiny_cfg(ttt_proj_rank=2)
-        params = DT3Params.init(rng, 3, 2, cfg)
-        out = predict_coarse_actions(make_window(), params)
-        assert out.shape == (3, 2)
-        err = ad.check_gradients(
-            lambda: ad.sum_all(ad.square(
-                predict_coarse_actions(make_window(), params))),
-            [p for _, p in params.block.ttt.named("ttt")],
-        )
-        assert err < 1e-3
-
     def test_gradients_flow_through_inner_update(self):
         rng = np.random.default_rng(23)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())

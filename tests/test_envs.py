@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drdt3.envs import (StitchChain, PointReach, Trajectory, TrajectoryStore,
-                        compute_rtg, generate_dataset, initial_rtg,
-                        make_env, make_env_spec, normalized_score)
+from drdt3.bundle import fresh_bundle
+from drdt3.config import TrainConfig
+from drdt3.envs import (StitchChain, PointReach, Trajectory, compute_rtg,
+                        generate_dataset, initial_rtg, make_env,
+                        make_env_spec, normalized_score, rollout)
 
 
 class TestComputeRtg:
@@ -31,18 +33,32 @@ class TestComputeRtg:
 
 
 class TestInitialRtg:
-    def _store_with_return(self, g):
-        t = Trajectory(np.zeros((1, 1)), np.zeros((1, 1)), np.array([g]))
-        return TrajectoryStore("stitchchain", 1, 1, [t])
-
     def test_positive_return_scaled_up(self):
-        assert initial_rtg(self._store_with_return(100.0), 1.1) == pytest.approx(110.0)
+        assert initial_rtg(100.0, 1.1) == pytest.approx(110.0)
 
     def test_negative_return_divided(self):
-        assert initial_rtg(self._store_with_return(-10.0), 2.0) == pytest.approx(-5.0)
+        assert initial_rtg(-10.0, 2.0) == pytest.approx(-5.0)
 
     def test_identity_eta(self):
-        assert initial_rtg(self._store_with_return(7.0), 1.0) == 7.0
+        assert initial_rtg(7.0, 1.0) == 7.0
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+    def test_nonpositive_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            initial_rtg(1.0, eta)
+
+    @pytest.mark.parametrize("env_id,tier", [("stitchchain", "stitch"),
+                                             ("pointreach", "medium")])
+    def test_rollout_starts_from_initial_rtg(self, env_id, tier):
+        store = generate_dataset(env_id, tier, 2, seed=0)
+        cfg = TrainConfig(embed_dim=8, cond_hidden=8, time_embed_dim=4,
+                          mlp_expansion=2).validate()
+        bundle = fresh_bundle(cfg, store)
+        # stitch's best return is +1 (multiplied), pointreach's is < 0 (divided)
+        assert (bundle.initial_return > 0) == (env_id == "stitchchain")
+        _, _, g0 = rollout(bundle, make_env(env_id), 1.5,
+                           np.random.default_rng(0), mode="dt3-only")
+        assert g0 == initial_rtg(bundle.initial_return, 1.5)
 
 
 class TestEnvs:

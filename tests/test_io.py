@@ -119,6 +119,24 @@ class TestBundleRoundTrip:
         with pytest.raises(BundleFormatError, match="truncated"):
             load_bundle(p)
 
+    @pytest.mark.parametrize("old,new,match", [
+        (b"drdt3-bundle/2", b"drdt3-bundle/1", "version mismatch"),
+        (b'{"config":', b'{"config"', "JSONDecodeError"),
+        (b'"config":{', b'"config":{"ttt_proj_rank":0,', "ttt_proj_rank"),
+        (b'"objective":"unified",', b"", "objective"),
+        (b'"d_s":1,', b"", "d_s"),
+    ], ids=["v1-magic", "mangled-json", "unknown-config-key",
+            "missing-config-key", "missing-header-key"])
+    def test_bad_header_rejected(self, store, tiny_config, tmp_path, old, new,
+                                 match):
+        p = tmp_path / "h.drdt3"
+        save_bundle(fresh_bundle(tiny_config, store), p)
+        data = p.read_bytes()
+        assert 0 <= data.find(old) < data.index(b"}\n")  # in the header
+        p.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(BundleFormatError, match=match):
+            load_bundle(p)
+
     def test_reloaded_bundle_evaluates_identically(self, store, tiny_config,
                                                    tmp_path):
         from drdt3.training import evaluate_bundle
