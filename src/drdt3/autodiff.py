@@ -323,6 +323,72 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _node(out, (x, gain, bias), bwd)
 
 
+def _unit_lower_solve(a, r):
+    """Solve (I + a) e = r per batch row; `a` is strictly lower triangular.
+
+    Forward substitution, so row t of `e` depends only on rows <= t.
+    """
+    e = r.copy()
+    for t in range(1, r.shape[1]):
+        e[:, t] -= np.matmul(a[:, t:t + 1, :t], e[:, :t])[:, 0]
+    return e
+
+
+def _unit_upper_solve(a, g):
+    """Solve (I + a)^T y = g per batch row; `a` is strictly lower triangular."""
+    y = g.copy()
+    for t in range(g.shape[1] - 2, -1, -1):
+        y[:, t] -= np.matmul(a[:, None, t + 1:, t], y[:, t + 1:])[:, 0]
+    return y
+
+
+def ttt_linear(x, w0, theta_q, theta_k, theta_v, c):
+    """Delta-rule fast-weight pass over a (B, s, d) sequence.
+
+    Per token t, with q_t, k_t, v_t = theta_{q,k,v} x_t and step c_t (B, s):
+        W_t = W_{t-1} - c_t (W_{t-1} k_t - v_t) k_t^T,   W_{-1} = w0,
+        z_t = W_t q_t.
+    This is computed in the parallel (UT) form, without any d x d fast
+    weight: the errors e_t = W_{t-1} k_t - v_t solve (I + A) E = K w0^T - V
+    with A_tj = c_j k_t.k_j (j < t), and Z = Q w0^T - M E with
+    M_tj = c_j q_t.k_j (j <= t). Row t of the output depends only on
+    tokens <= t, bitwise.
+    """
+    xd, w = x.data, w0.data
+    b, s, d = xd.shape
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), (b, s))[:, None, :]
+    # q_t = theta_q x_t per token, so that with c = 0 the output is exactly
+    # w0 (theta_q x_t); k and v come from one GEMM.
+    q = np.matmul(theta_q.data, xd[..., None])[..., 0]
+    k, v = np.split(xd @ np.concatenate([theta_k.data, theta_v.data]).T, 2,
+                    axis=-1)
+    kt = np.swapaxes(k, 1, 2)
+    a = np.tril(np.matmul(k, kt) * c, -1)
+    m = np.tril(np.matmul(q, kt) * c)
+    e = _unit_lower_solve(a, np.matmul(k, w.T) - v)
+    out = np.matmul(w, q[..., None])[..., 0] - np.matmul(m, e)
+
+    def bwd(g, acc):
+        # gm = -c dL/dM, gr = -dL/dR and ga = c dL/dA: the signs and the
+        # steps c are folded in where they cost nothing.
+        et = np.swapaxes(e, 1, 2)
+        gm = np.tril(np.matmul(g, et)) * c
+        gr = _unit_upper_solve(a, np.matmul(np.swapaxes(m, 1, 2), g))
+        ga = np.tril(np.matmul(gr, et), -1) * c
+        gq = np.matmul(g, w) - np.matmul(gm, k)
+        gk = (np.matmul(ga + np.swapaxes(ga, 1, 2), k) - np.matmul(gr, w)
+              - np.matmul(np.swapaxes(gm, 1, 2), q))
+        g2, q2, k2, x2, gq2, gk2, gr2 = (
+            t.reshape(-1, d) for t in (g, q, k, xd, gq, gk, gr))
+        acc(w0, g2.T @ q2 - gr2.T @ k2)
+        acc(theta_q, gq2.T @ x2)
+        acc(theta_k, gk2.T @ x2)
+        acc(theta_v, gr2.T @ x2)
+        acc(x, (gq2 @ theta_q.data + gk2 @ theta_k.data
+                + gr2 @ theta_v.data).reshape(b, s, d))
+    return _node(out, (x, w0, theta_q, theta_k, theta_v), bwd)
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from .dt3 import ContextBatch, DT3Params, predict_coarse_actions_batch
 from .training import dt3_loss, unified_loss
 
 
-def _rand(rng, *shape):
-    return DArray(rng.uniform(-2.0, 2.0, size=shape), requires_grad=True)
+def _rand(rng, *shape, bound=2.0):
+    return DArray(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def check_primitives(rng=None, trials=100):
@@ -36,6 +36,7 @@ def check_primitives(rng=None, trials=100):
         "layer_norm": 0.0, "softmax": 0.0, "gelu": 0.0, "abs": 0.0,
         "square": 0.0, "concat": 0.0, "transpose": 0.0, "embedding": 0.0,
         "mean": 0.0, "sum": 0.0, "scale": 0.0, "slice": 0.0,
+        "ttt_linear": 0.0,
     })
     for _ in range(trials):
         a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
@@ -77,6 +78,15 @@ def check_primitives(rng=None, trials=100):
         idx = rng.integers(0, 6, size=4)
         worst["embedding"] = max(worst["embedding"], ad.check_gradients(
             lambda: ad.sum_all(ad.square(ad.embedding(table, idx))), [table]))
+        # Two sequences of 4 tokens, the first with a 2-token padded prefix;
+        # small inputs keep the inner recurrence well inside its stable range.
+        seq = _rand(rng, 2, 4, 3, bound=0.5)
+        ttt = [_rand(rng, 3, 3, bound=0.5) for _ in range(4)]
+        mask = np.array([[0, 0, 1, 1], [1, 1, 1, 1]], dtype=np.float64)
+        c = rng.uniform(0.5, 2.0) * mask
+        worst["ttt_linear"] = max(worst["ttt_linear"], ad.check_gradients(
+            lambda: ad.sum_all(ad.square(ad.ttt_linear(seq, *ttt, c))),
+            [seq] + ttt))
     for name in sorted(worst):
         results.append((f"primitive.{name}", worst[name], 1e-4))
     return results

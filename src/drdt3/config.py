@@ -54,6 +54,8 @@ class TrainConfig:
             raise ConfigError("zeta must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
+        if self.embed_dim < 1:
+            raise ConfigError("embed_dim must be >= 1")
         if self.n_heads < 1:
             raise ConfigError("n_heads must be >= 1")
         if self.embed_dim % self.n_heads != 0:
@@ -74,6 +76,10 @@ class TrainConfig:
             raise ConfigError("need 0 < beta_min <= beta_max")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if self.updates_per_epoch < 1:
+            raise ConfigError("updates_per_epoch must be >= 1")
         if self.eval_episodes < 0:
             raise ConfigError("eval_episodes must be >= 0")
         if self.rtg_scale <= 0:

@@ -3,8 +3,9 @@
 Embeds K-step (return-to-go, state, action) contexts, runs them through an
 attention + fast-weight block, and reads coarse action predictions off the
 state-token positions. The fast-weight sub-layer updates its hidden matrix W
-by one recorded gradient step per token, so outer-loop gradients flow through
-the inner update.
+by one gradient step per real token (the delta rule), evaluated in parallel
+form by the single recorded primitive `autodiff.ttt_linear`; outer-loop
+gradients flow through the inner update.
 """
 
 from __future__ import annotations
@@ -268,29 +269,17 @@ def causal_attention(x, block, token_mask):
 
 
 def ttt_forward(x, layer, token_mask):
-    """Sequential fast-weight pass with residual add + layer norm.
+    """Fast-weight pass: the TTT layer's outputs z (B, s, d), no residual.
 
     Per real token t: W <- W - inner_lr * 2 (W k_t - v_t) k_t^T with
     k_t = theta_K x_t, v_t = theta_V x_t; output z_t = W theta_Q x_t.
-    Padded tokens leave W untouched. The whole recurrence is recorded, so
-    gradients reach theta_K / theta_V through the inner update.
+    Padded tokens leave W untouched. The recurrence is one recorded
+    primitive, `autodiff.ttt_linear`, so gradients reach theta_K / theta_V
+    through the inner update.
     """
-    b, s, d = x.shape
-    theta_q, theta_k, theta_v = layer.theta_q, layer.theta_k, layer.theta_v
-    w = ad.reshape(layer.w0, (1, d, d))
-    zs = []
-    for t in range(s):
-        xt = ad.reshape(x[:, t, :], (b, d, 1))
-        kt = ad.matmul(theta_k, xt)
-        vt = ad.matmul(theta_v, xt)
-        err = ad.matmul(w, kt) - vt
-        grad = ad.scale(ad.matmul(err, ad.transpose(kt)), 2.0)
-        step = (layer.inner_lr
-                * token_mask[:, t].astype(np.float64).reshape(b, 1, 1))
-        w = w - ad.mul(grad, DArray(step))
-        zt = ad.matmul(w, ad.matmul(theta_q, xt))
-        zs.append(ad.reshape(zt, (b, 1, d)))
-    return ad.concat(zs, axis=1)
+    c = 2.0 * layer.inner_lr * token_mask.astype(np.float64)
+    return ad.ttt_linear(x, layer.w0, layer.theta_q, layer.theta_k,
+                         layer.theta_v, c)
 
 
 def ttt_sublayer(x, block, token_mask):

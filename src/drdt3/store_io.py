@@ -59,6 +59,16 @@ def _read_line(fh, what):
     return line
 
 
+_HEADER_KEYS = ("env_id", "d_s", "d_a", "n_traj")
+
+
+def _header_int(header, key):
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StoreFormatError(f"header {key} is not an integer: {value!r}")
+    return value
+
+
 def load_store(path):
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -70,13 +80,25 @@ def load_store(path):
             header = json.loads(_read_line(fh, "header"))
         except json.JSONDecodeError as e:
             raise StoreFormatError(f"unparseable header: {e}") from None
-        d_s, d_a = int(header["d_s"]), int(header["d_a"])
+        if not isinstance(header, dict):
+            raise StoreFormatError("header is not a JSON object")
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise StoreFormatError(f"header lacks {', '.join(missing)}")
+        d_s, d_a, n_traj = (_header_int(header, k)
+                            for k in ("d_s", "d_a", "n_traj"))
         trajs = []
-        for j in range(int(header["n_traj"])):
+        for j in range(n_traj):
             line = _read_line(fh, f"trajectory {j} header")
-            if not line.startswith(b"traj "):
+            fields = line.split()
+            if len(fields) != 2 or fields[0] != b"traj":
                 raise StoreFormatError(f"bad trajectory record header {line!r}")
-            t_len = int(line.split()[1])
+            try:
+                t_len = int(fields[1])
+            except ValueError:
+                raise StoreFormatError(
+                    f"trajectory {j} has non-integer length {fields[1]!r}"
+                ) from None
             if t_len < 1:
                 raise StoreFormatError(f"trajectory {j} has invalid length {t_len}")
             states = np.frombuffer(

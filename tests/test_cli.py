@@ -96,13 +96,32 @@ class TestTrain:
                             ("batch_size = 0", "batch_size"),
                             ("rtg_scale = 0", "rtg_scale"),
                             ("rtg_scale = -1", "rtg_scale"),
-                            ("eval_episodes = -1", "eval_episodes")):
+                            ("eval_episodes = -1", "eval_episodes"),
+                            ("epochs = 0", "epochs"),
+                            ("updates_per_epoch = 0", "updates_per_epoch"),
+                            ("embed_dim = 0", "embed_dim")):
             bad.write_text(f"embed_dim = 8\n{line}\n")
             rc = main(["train", "--config", str(bad),
                        "--data", str(workspace / "stitch.bin"),
                        "--out", str(tmp_path / "r")])
             assert rc == 1, line
             assert named in capsys.readouterr().err, line
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"n_traj":', b'"n_trajs":'),          # missing header key
+        (b'"d_s":', b'"d_s":"three","x":'),     # non-integer header value
+        (b"\ntraj ", b"\ntraj x"),              # non-integer trajectory length
+    ], ids=["missing-key", "non-integer-header", "non-integer-length"])
+    def test_malformed_store_exit_one(self, workspace, tmp_path, capsys, old,
+                                      new):
+        data = (workspace / "stitch.bin").read_bytes()
+        assert old in data
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data.replace(old, new, 1))
+        rc = main(["train", "--config", str(workspace / "tiny.cfg"),
+                   "--data", str(bad), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_data_exit_one(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),

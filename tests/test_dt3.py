@@ -201,7 +201,60 @@ class TestTTTForward:
         assert np.allclose(z_masked[0, 1:], z_real[0], atol=1e-14)
 
 
+def _per_token_oracle(x, layer, mask):
+    """The fast-weight update rule, one token at a time, in plain numpy."""
+    tq, tk, tv = layer.theta_q.data, layer.theta_k.data, layer.theta_v.data
+    z = np.empty_like(x)
+    for b in range(x.shape[0]):
+        w = layer.w0.data.copy()
+        for t in range(x.shape[1]):
+            k, v = tk @ x[b, t], tv @ x[b, t]
+            if mask[b, t]:
+                w = w - layer.inner_lr * 2.0 * np.outer(w @ k - v, k)
+            z[b, t] = w @ (tq @ x[b, t])
+    return z
+
+
+class TestTTTOracle:
+    @pytest.mark.parametrize("inner_lr", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_token_update_rule(self, seed, inner_lr):
+        rng = np.random.default_rng(seed)
+        b, s, d = (int(n) for n in rng.integers(1, [5, 13, 9], endpoint=True))
+        layer = TTTLinearLayer.init(rng, d, inner_lr, std=0.5 / np.sqrt(d))
+        layer.w0.data = rng.normal(0.0, 0.5 / np.sqrt(d), (d, d))
+        x = rng.uniform(-1, 1, (b, s, d))
+        mask = np.ones((b, s), bool)
+        for row, pad in enumerate(rng.integers(0, s, size=b, endpoint=True)):
+            mask[row, :pad] = False
+        z = ttt_forward(DArray(x), layer, mask).data
+        assert np.abs(z - _per_token_oracle(x, layer, mask)).max() < 1e-12
+
+
+def _count_nodes(out):
+    """Recorded operations in the autodiff graph behind `out`."""
+    seen, stack, n = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            n += node._backward is not None
+            stack.extend(node._parents)
+    return n
+
+
 class TestPredict:
+    def test_graph_size_independent_of_context_len(self):
+        counts = []
+        for k in (3, 12):
+            rng = np.random.default_rng(25)
+            params = DT3Params.init(rng, 3, 2, tiny_cfg(context_len=k))
+            w = make_window(k=k, pad=1, rng=rng)
+            out = predict_coarse_actions_batch(ContextBatch.from_windows([w]),
+                                               params)
+            counts.append(_count_nodes(out))
+        assert counts[0] == counts[1]
+
     def test_zero_action_head_gives_zero_actions(self):
         rng = np.random.default_rng(10)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,15 @@ def tiny_config():
     return TrainConfig(embed_dim=8, n_heads=1, max_episode_len=32,
                        cond_hidden=8, time_embed_dim=4,
                        mlp_expansion=2).validate()
+
+
+def _rewrite_header(path, mutate):
+    """Apply `mutate` to the JSON header of a saved store, in place."""
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    mutate(fields)
+    path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n"
+                     + rest)
 
 
 class TestStoreRoundTrip:
@@ -70,8 +81,36 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreFormatError, match="trailing"):
             load_store(p)
 
+    @pytest.mark.parametrize("key", ["env_id", "d_s", "d_a", "n_traj"])
+    def test_header_missing_key_rejected(self, store, tmp_path, key):
+        p = tmp_path / "h.bin"
+        save_store(store, p)
+        _rewrite_header(p, lambda h: h.pop(key))
+        with pytest.raises(StoreFormatError, match=key):
+            load_store(p)
+
+    @pytest.mark.parametrize("key, value", [("d_s", "3"), ("d_a", 2.5),
+                                            ("n_traj", None), ("d_s", True)])
+    def test_header_non_integer_rejected(self, store, tmp_path, key, value):
+        p = tmp_path / "n.bin"
+        save_store(store, p)
+        _rewrite_header(p, lambda h: h.update({key: value}))
+        with pytest.raises(StoreFormatError, match=key):
+            load_store(p)
+
+    @pytest.mark.parametrize("line", [b"traj x7\n", b"traj 7.5\n",
+                                      b"traj\n"])
+    def test_non_integer_trajectory_length_rejected(self, store, tmp_path,
+                                                    line):
+        p = tmp_path / "l.bin"
+        save_store(store, p)
+        magic, header, rest = p.read_bytes().split(b"\n", 2)
+        first = rest.index(b"\n") + 1
+        p.write_bytes(magic + b"\n" + header + b"\n" + line + rest[first:])
+        with pytest.raises(StoreFormatError, match="trajectory"):
+            load_store(p)
+
     def test_text_export(self, store, tmp_path):
-        import json
         p = tmp_path / "s.jsonl"
         export_text(store, p)
         lines = p.read_text().splitlines()
