@@ -12,10 +12,9 @@ import sys
 sys.path.insert(0, "src")
 
 from drdt3.config import TrainConfig
+from drdt3.diffusion import VARIANTS
 from drdt3.envs import generate_dataset
 from drdt3.training import train
-
-VARIANTS = ("full", "no_adaln", "no_gated_mlp", "plain")
 
 
 def main():

@@ -5,8 +5,7 @@ from .config import TrainConfig
 from .diffusion import (DiffusionSchedule, NoiseApproximatorParams,
                         denoise_step, diffusion_loss, forward_noise,
                         predict_noise, sample_action, vp_schedule)
-from .dt3 import (AttentionTTTBlock, ContextBatch, ContextWindow, DT3Params,
-                  TTTLinearLayer, predict_coarse_actions,
+from .dt3 import (AttentionTTTBlock, ContextBatch, DT3Params, TTTLinearLayer,
                   predict_coarse_actions_batch, ttt_forward)
 from .envs import (EnvSpec, Trajectory, TrajectoryStore, compute_rtg,
                    generate_dataset, initial_rtg, make_env, make_env_spec,
@@ -19,9 +18,8 @@ __all__ = [
     "DiffusionSchedule", "NoiseApproximatorParams", "vp_schedule",
     "forward_noise", "predict_noise", "denoise_step", "sample_action",
     "diffusion_loss",
-    "ContextWindow", "ContextBatch", "TTTLinearLayer", "AttentionTTTBlock",
-    "DT3Params", "ttt_forward", "predict_coarse_actions",
-    "predict_coarse_actions_batch",
+    "ContextBatch", "TTTLinearLayer", "AttentionTTTBlock", "DT3Params",
+    "ttt_forward", "predict_coarse_actions_batch",
     "EnvSpec", "Trajectory", "TrajectoryStore", "compute_rtg", "initial_rtg",
     "normalized_score", "make_env", "make_env_spec", "generate_dataset",
     "rollout",

@@ -3,10 +3,13 @@
 Every operation that participates in training is a recorded primitive with a
 hand-written adjoint. The graph is built eagerly; `backward` walks it in
 reverse topological order, visiting each node exactly once. Leaf gradients
-accumulate across backward calls until `zero_grad`.
+accumulate across backward calls until `zero_grad`. Inside `with no_grad():`
+nothing is recorded, so inference builds no graph.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy.special import erf
@@ -93,12 +96,20 @@ def _as_darray(x):
     return x if isinstance(x, DArray) else DArray(x)
 
 
-def darray(data, requires_grad=False):
-    return DArray(data, requires_grad=requires_grad)
+_recording = True
 
 
-def constant(data):
-    return DArray(data)
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: every primitive returns an untracked
+    DArray, whatever its inputs. Recording resumes when the block exits, also
+    on an exception."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 def _track(*inputs):
@@ -106,7 +117,7 @@ def _track(*inputs):
 
 
 def _node(data, inputs, backward):
-    if _track(*inputs):
+    if _recording and _track(*inputs):
         return DArray(data, _parents=tuple(inputs), _backward=backward)
     return DArray(data)
 
@@ -453,8 +464,10 @@ def check_gradients(f, params, step=1e-5):
     """Worst relative error between analytic and central-difference gradients.
 
     `f()` must rebuild its graph from `params` on every call and return a
-    scalar DArray. Relative error per coordinate uses max(|a|, |n|, 1) as the
-    denominator so near-zero gradients compare absolutely.
+    scalar DArray. Only the first call records a graph, for `backward`; the
+    perturbed calls run under `no_grad`. Relative error per coordinate uses
+    max(|a|, |n|, 1) as the denominator so near-zero gradients compare
+    absolutely.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -466,19 +479,21 @@ def check_gradients(f, params, step=1e-5):
     analytic = [np.array(p.grad, copy=True) for p in params]
 
     worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = float(f().data)
-            flat[j] = orig - step
-            dn = float(f().data)
-            flat[j] = orig
-            if not (np.isfinite(up) and np.isfinite(dn)):
-                raise EvaluationError("objective non-finite during perturbation")
-            numeric = (up - dn) / (2.0 * step)
-            an = a.reshape(-1)[j]
-            err = abs(an - numeric) / max(abs(an), abs(numeric), 1.0)
-            worst = max(worst, err)
+    with no_grad():
+        for p, a in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + step
+                up = float(f().data)
+                flat[j] = orig - step
+                dn = float(f().data)
+                flat[j] = orig
+                if not (np.isfinite(up) and np.isfinite(dn)):
+                    raise EvaluationError(
+                        "objective non-finite during perturbation")
+                numeric = (up - dn) / (2.0 * step)
+                an = a.reshape(-1)[j]
+                err = abs(an - numeric) / max(abs(an), abs(numeric), 1.0)
+                worst = max(worst, err)
     return worst

@@ -17,7 +17,7 @@ from .config import ConfigError, TrainConfig, config_to_dict
 from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
 
-MAGIC = b"drdt3-bundle/2\n"
+MAGIC = b"drdt3-bundle/3\n"
 
 
 class BundleFormatError(ValueError):

@@ -21,7 +21,8 @@ from .config import ConfigError, TrainConfig, config_to_dict, load_config
 from .envs import make_env_spec, normalized_score
 from .plotting import PlotError, plot_metrics
 from .store_io import StoreFormatError, export_text, load_store, save_store
-from .training import MetricsLog, TrainingAborted, evaluate_episodes, train
+from .training import (DatasetRejected, MetricsLog, TrainingAborted,
+                       evaluate_episodes, train)
 
 
 def _fail(msg, code=1):
@@ -80,6 +81,8 @@ def cmd_train(args):
     try:
         bundle, log = train(cfg, store, out_dir=args.out,
                             bundle=bundle0, log=log0)
+    except DatasetRejected as e:
+        return _fail(e)
     except TrainingAborted as e:
         print(f"aborted: {e}; last checkpoint kept in {args.out}",
               file=sys.stderr)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, fields
 
+from .diffusion import VARIANTS
+
 
 class ConfigError(ValueError):
     """Raised for unknown keys or untypeable values in a config file."""
@@ -29,7 +31,6 @@ class TrainConfig:
     cond_hidden: int = 64
     time_embed_dim: int = 16
     noise_approx_variant: str = "full"   # full | no_adaln | no_gated_mlp | plain
-    sqrt_beta_noise: bool = False        # standard-DDPM reverse noise scale
 
     # Objective / optimization
     zeta: float = 0.2
@@ -64,9 +65,7 @@ class TrainConfig:
             raise ConfigError(f"unknown dt3_loss_norm: {self.dt3_loss_norm!r}")
         if self.objective not in ("unified", "dt3_only"):
             raise ConfigError(f"unknown objective: {self.objective!r}")
-        if self.noise_approx_variant not in (
-            "full", "no_adaln", "no_gated_mlp", "plain"
-        ):
+        if self.noise_approx_variant not in VARIANTS:
             raise ConfigError(
                 f"unknown noise_approx_variant: {self.noise_approx_variant!r}"
             )

@@ -5,8 +5,8 @@ noise into an action, conditioned on the coarse action prediction from the
 sequence model. The noise approximator is a gated MLP with adaptive layer
 norm conditioning; ablation variants share the same call signature.
 
-The reverse step adds noise scaled by beta_i (following the source method's
-stated update); set sqrt_beta_noise=True for the standard DDPM scaling.
+The reverse step adds noise scaled by beta_i, following the source method's
+stated update.
 """
 
 from __future__ import annotations
@@ -183,11 +183,10 @@ def predict_noise(a_i, cond_action, i, params, sched=None):
 # Reverse process
 # ---------------------------------------------------------------------------
 
-def denoise_step(a_i, cond_action, i, params, sched, noise,
-                 sqrt_beta_noise=False):
-    """One reverse step:
+def denoise_step(a_i, cond_action, i, params, sched, noise):
+    """One reverse step, on plain arrays and without recording a graph:
     a_{i-1} = (a_i - (1-alpha_i)/sqrt(1-abar_i) * eps_hat)/sqrt(alpha_i)
-              + beta_i * noise    (or sqrt(beta_i) with sqrt_beta_noise).
+              + beta_i * noise.
     """
     _check_step(i, sched)
     noise = np.asarray(noise, dtype=np.float64)
@@ -197,22 +196,20 @@ def denoise_step(a_i, cond_action, i, params, sched, noise,
     alpha = sched.alpha[i - 1]
     abar = sched.alpha_bar[i - 1]
     beta = sched.beta[i - 1]
-    eps_hat = predict_noise(a_i, cond_action,
-                            np.full(a_i.shape[0], i), params).data
+    with ad.no_grad():
+        eps_hat = predict_noise(a_i, cond_action,
+                                np.full(a_i.shape[0], i), params).data
     mean = (a_i - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
-    scale = np.sqrt(beta) if sqrt_beta_noise else beta
-    return mean + scale * noise, eps_hat
+    return mean + beta * noise, eps_hat
 
 
-def sample_action(cond_action, params, sched, rng, action_bound=None,
-                  sqrt_beta_noise=False):
+def sample_action(cond_action, params, sched, rng, action_bound=None):
     """Run the full reverse chain from Gaussian noise; returns (d_a,) action."""
     cond = np.atleast_2d(np.asarray(cond_action, dtype=np.float64))
     a = rng.standard_normal(cond.shape)
     for i in range(sched.n_steps, 0, -1):
         noise = rng.standard_normal(cond.shape) if i > 1 else np.zeros_like(a)
-        a, _ = denoise_step(a, cond, i, params, sched, noise,
-                            sqrt_beta_noise=sqrt_beta_noise)
+        a, _ = denoise_step(a, cond, i, params, sched, noise)
     if action_bound is not None:
         a = np.clip(a, -action_bound, action_bound)
     return a[0]

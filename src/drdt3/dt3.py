@@ -6,11 +6,15 @@ state-token positions. The fast-weight sub-layer updates its hidden matrix W
 by one gradient step per real token (the delta rule), evaluated in parallel
 form by the single recorded primitive `autodiff.ttt_linear`; outer-loop
 gradients flow through the inner update.
+
+The context layout is defined once, by `ContextBatch.set_row`, which fills
+both training batches and the rollout's context: a zero-padded prefix, then
+the newest n <= K steps, with returns-to-go divided by the dataset's largest
+absolute return, standardized states, consecutive timesteps, and the newest
+action zeroed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,38 +34,9 @@ class TimestepRangeError(IndexError):
 # Context containers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContextWindow:
-    """One K-step model input; padding occupies a contiguous prefix."""
-
-    rtgs: np.ndarray        # (K,)
-    states: np.ndarray      # (K, d_s)
-    actions: np.ndarray     # (K, d_a)
-    timesteps: np.ndarray   # (K,) int
-    pad_mask: np.ndarray    # (K,) bool, True = real token
-
-    def validate(self):
-        k = len(self.rtgs)
-        if not (len(self.states) == len(self.actions)
-                == len(self.timesteps) == len(self.pad_mask) == k):
-            raise ValueError("context fields disagree on K")
-        real = np.flatnonzero(self.pad_mask)
-        pad = np.flatnonzero(~self.pad_mask)
-        if pad.size and real.size and pad.max() > real.min():
-            raise ValueError("padding must occupy a contiguous prefix")
-        if pad.size:
-            if np.any(self.rtgs[pad]) or np.any(self.states[pad]) \
-                    or np.any(self.actions[pad]):
-                raise ValueError("padded rows must be all-zero")
-        if real.size > 1:
-            steps = self.timesteps[real]
-            if np.any(np.diff(steps) != 1):
-                raise ValueError("real timesteps must increase by 1")
-        return self
-
-
 class ContextBatch:
-    """Stacked contexts: rtgs (B,K), states (B,K,d_s), actions (B,K,d_a)."""
+    """Stacked contexts: rtgs (B,K), states (B,K,d_s), actions (B,K,d_a),
+    timesteps (B,K) and pad_mask (B,K), True for a real step."""
 
     def __init__(self, rtgs, states, actions, timesteps, pad_mask):
         self.rtgs = np.asarray(rtgs, dtype=np.float64)
@@ -71,14 +46,26 @@ class ContextBatch:
         self.pad_mask = np.asarray(pad_mask, dtype=bool)
 
     @classmethod
-    def from_windows(cls, windows):
-        return cls(
-            np.stack([w.rtgs for w in windows]),
-            np.stack([w.states for w in windows]),
-            np.stack([w.actions for w in windows]),
-            np.stack([w.timesteps for w in windows]),
-            np.stack([w.pad_mask for w in windows]),
-        )
+    def zeros(cls, b, k, d_s, d_a):
+        """B all-padding rows of K steps, to be filled by `set_row`."""
+        return cls(np.zeros((b, k)), np.zeros((b, k, d_s)),
+                   np.zeros((b, k, d_a)), np.zeros((b, k), dtype=np.int64),
+                   np.zeros((b, k), dtype=bool))
+
+    def set_row(self, j, start, rtgs, states, actions, rtg_norm, state_mean,
+                state_std):
+        """Fill row j from the raw steps start .. start+n-1 (n = len(rtgs)
+        <= K), after a zero-padded prefix of K - n steps. Returns-to-go are
+        divided by `rtg_norm`, states become (s - state_mean) / state_std,
+        and the newest action is zeroed: it is unknown at prediction time.
+        """
+        pad = self.context_len - len(rtgs)
+        self.rtgs[j, pad:] = rtgs / rtg_norm
+        self.states[j, pad:] = (states - state_mean) / state_std
+        self.actions[j, pad:] = actions
+        self.actions[j, -1] = 0.0
+        self.timesteps[j, pad:] = np.arange(start, start + len(rtgs))
+        self.pad_mask[j, pad:] = True
 
     @property
     def size(self):
@@ -300,12 +287,3 @@ def predict_coarse_actions_batch(batch, params):
     h, _ = forward_hidden(batch, params)
     state_pos = np.arange(batch.context_len) * TOKENS_PER_STEP + 1
     return params.head(ad.take_rows(h, state_pos, axis=1))
-
-
-def predict_coarse_actions(ctx, params):
-    """Single-context convenience wrapper: returns a (K, d_a) DArray."""
-    ctx.validate()
-    batch = ContextBatch.from_windows([ctx])
-    out = predict_coarse_actions_batch(batch, params)
-    k, d_a = out.shape[1], out.shape[2]
-    return ad.reshape(out, (k, d_a))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .dt3 import ContextWindow, ContextBatch, predict_coarse_actions_batch
+from .dt3 import ContextBatch, predict_coarse_actions_batch
 from .diffusion import sample_action
 
 
@@ -351,8 +351,8 @@ def rollout(bundle, env, rtg_scale, rng, mode="drdt3"):
     """One evaluated episode following the inference procedure: sliding
     K-step context, RTG starting at `initial_rtg(bundle.initial_return,
     rtg_scale)` and decremented by observed rewards, coarse prediction
-    optionally refined by the diffusion chain. Returns (return, trajectory,
-    starting RTG)."""
+    optionally refined by the diffusion chain. No autodiff graph is
+    recorded. Returns (return, trajectory, starting RTG)."""
     from .diffusion import vp_schedule
 
     spec = make_env_spec(env.env_id)
@@ -362,55 +362,42 @@ def rollout(bundle, env, rtg_scale, rng, mode="drdt3"):
 
     g0 = initial_rtg(bundle.initial_return, rtg_scale)
 
+    # The raw episode so far; row t is step t.
+    states = np.zeros((spec.t_max, spec.d_s))
+    actions = np.zeros((spec.t_max, spec.d_a))
+    rewards = np.zeros(spec.t_max)
+    rtgs = np.zeros(spec.t_max)
     state = env.reset()
     g = g0
-    hist_states, hist_actions, hist_rtgs, hist_steps = [], [], [], []
-    rec_states, rec_actions, rec_rewards = [], [], []
     done = False
     t = 0
-    while not done:
-        hist_states.append((state - bundle.state_mean) / bundle.state_std)
-        hist_actions.append(np.zeros(spec.d_a))
-        hist_rtgs.append(g / bundle.rtg_norm if cfg.condition_on_rtg else 0.0)
-        hist_steps.append(min(t, cfg.max_episode_len - 1))
+    with ad.no_grad():
+        while not done:
+            states[t], rtgs[t] = state, g
+            start = max(0, t - k + 1)
+            steps = slice(start, t + 1)
+            batch = ContextBatch.zeros(1, k, spec.d_s, spec.d_a)
+            batch.set_row(0, start, rtgs[steps], states[steps], actions[steps],
+                          bundle.rtg_norm, bundle.state_mean, bundle.state_std)
+            if not cfg.condition_on_rtg:
+                batch.rtgs[:] = 0.0
+            # Steps past the timestep table reuse its last row.
+            np.minimum(batch.timesteps, cfg.max_episode_len - 1,
+                       out=batch.timesteps)
+            coarse = predict_coarse_actions_batch(batch, bundle.dt3).data[0, -1]
+            if mode == "drdt3":
+                action = sample_action(coarse, bundle.noise, sched, rng,
+                                       action_bound=spec.a_max)
+            elif mode == "dt3-only":
+                action = np.clip(coarse, -spec.a_max, spec.a_max)
+            else:
+                raise ValueError(f"unknown rollout mode {mode!r}")
 
-        n = min(len(hist_states), k)
-        pad = k - n
-        ctx = ContextWindow(
-            rtgs=np.concatenate([np.zeros(pad), hist_rtgs[-n:]]),
-            states=np.concatenate(
-                [np.zeros((pad, spec.d_s)), np.stack(hist_states[-n:])]
-            ),
-            actions=np.concatenate(
-                [np.zeros((pad, spec.d_a)), np.stack(hist_actions[-n:])]
-            ),
-            timesteps=np.concatenate(
-                [np.zeros(pad, dtype=int), np.array(hist_steps[-n:])]
-            ),
-            pad_mask=np.concatenate(
-                [np.zeros(pad, dtype=bool), np.ones(n, dtype=bool)]
-            ),
-        )
-        batch = ContextBatch.from_windows([ctx])
-        coarse = predict_coarse_actions_batch(batch, bundle.dt3).data[0, -1]
-        if mode == "drdt3":
-            action = sample_action(
-                coarse, bundle.noise, sched, rng, action_bound=spec.a_max,
-                sqrt_beta_noise=cfg.sqrt_beta_noise,
-            )
-        elif mode == "dt3-only":
-            action = np.clip(coarse, -spec.a_max, spec.a_max)
-        else:
-            raise ValueError(f"unknown rollout mode {mode!r}")
+            actions[t] = action
+            state, r, done = env.step(action)
+            rewards[t] = r
+            g -= r
+            t += 1
 
-        hist_actions[-1] = action
-        rec_states.append(state)
-        rec_actions.append(action)
-        state, r, done = env.step(action)
-        rec_rewards.append(r)
-        g -= r
-        t += 1
-
-    traj = Trajectory(np.array(rec_states), np.array(rec_actions),
-                      np.array(rec_rewards))
+    traj = Trajectory(states[:t], actions[:t], rewards[:t])
     return traj.ret, traj, g0

@@ -62,10 +62,12 @@ def _read_line(fh, what):
 _HEADER_KEYS = ("env_id", "d_s", "d_a", "n_traj")
 
 
-def _header_int(header, key):
+def _header_int(header, key, minimum):
     value = header[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise StoreFormatError(f"header {key} is not an integer: {value!r}")
+    if value < minimum:
+        raise StoreFormatError(f"header {key} is {value}; must be >= {minimum}")
     return value
 
 
@@ -85,8 +87,8 @@ def load_store(path):
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise StoreFormatError(f"header lacks {', '.join(missing)}")
-        d_s, d_a, n_traj = (_header_int(header, k)
-                            for k in ("d_s", "d_a", "n_traj"))
+        d_s, d_a, n_traj = (_header_int(header, k, low) for k, low in
+                            (("d_s", 1), ("d_a", 1), ("n_traj", 0)))
         trajs = []
         for j in range(n_traj):
             line = _read_line(fh, f"trajectory {j} header")

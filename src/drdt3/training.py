@@ -25,6 +25,10 @@ class TrainingAborted(RuntimeError):
     """Raised when the loss turns non-finite; the last checkpoint survives."""
 
 
+class DatasetRejected(ValueError):
+    """Raised when `train` cannot use its dataset with the given config."""
+
+
 @dataclass
 class MetricsLog:
     updates: list = field(default_factory=list)   # (idx, l_diff, l_dt3, l_total)
@@ -151,31 +155,18 @@ def sample_context_batch(store, k, batch_size, rng, spec):
     end index uniform; windows near episode start get a zero-padded prefix."""
     lengths = np.array([t.length for t in store.trajectories], dtype=np.float64)
     probs = lengths / lengths.sum()
-    b = batch_size
-    rtgs = np.zeros((b, k))
-    states = np.zeros((b, k, store.d_s))
-    actions = np.zeros((b, k, store.d_a))
-    timesteps = np.zeros((b, k), dtype=np.int64)
-    mask = np.zeros((b, k), dtype=bool)
-    targets = np.zeros((b, k, store.d_a))
-    for j in range(b):
+    batch = ContextBatch.zeros(batch_size, k, store.d_s, store.d_a)
+    targets = np.zeros((batch_size, k, store.d_a))
+    for j in range(batch_size):
         ti = rng.choice(len(store.trajectories), p=probs)
         traj = store.trajectories[ti]
         end = int(rng.integers(traj.length))          # inclusive end index
         start = max(0, end - k + 1)
-        n = end - start + 1
-        pad = k - n
-        rtg = traj.rtgs
-        rtgs[j, pad:] = rtg[start:end + 1] / store.max_abs_return
-        states[j, pad:] = (traj.states[start:end + 1] - store.state_mean) \
-            / store.state_std
-        actions[j, pad:] = traj.actions[start:end + 1]
-        timesteps[j, pad:] = np.arange(start, end + 1)
-        mask[j, pad:] = True
-        targets[j, pad:] = traj.actions[start:end + 1]
-    # The current step's action is unknown at prediction time.
-    actions[:, -1, :] = 0.0
-    batch = ContextBatch(rtgs, states, actions, timesteps, mask)
+        steps = slice(start, end + 1)
+        batch.set_row(j, start, traj.rtgs[steps], traj.states[steps],
+                      traj.actions[steps], store.max_abs_return,
+                      store.state_mean, store.state_std)
+        targets[j, batch.pad_mask[j]] = traj.actions[steps]
     return batch, targets
 
 
@@ -213,8 +204,8 @@ def evaluate_bundle(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
             normalized_score(returns.mean(), spec))
 
 
-def train(config, store, out_dir=None, log_every=1, eval_each_epoch=True,
-          bundle=None, log=None):
+def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
+          log=None):
     """Joint single-stage training per the unified objective.
 
     Returns (PolicyBundle, MetricsLog). With objective="dt3_only" the loss is
@@ -227,10 +218,10 @@ def train(config, store, out_dir=None, log_every=1, eval_each_epoch=True,
     """
     config.validate()
     if store.count == 0:
-        raise ValueError("dataset is empty")
+        raise DatasetRejected("dataset is empty")
     spec = make_env_spec(store.env_id)
     if store.max_length() > config.max_episode_len:
-        raise ValueError(
+        raise DatasetRejected(
             f"max_episode_len {config.max_episode_len} is shorter than the "
             f"longest trajectory ({store.max_length()})"
         )

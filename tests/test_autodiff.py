@@ -172,6 +172,40 @@ class TestCheckGradients:
             ad.check_gradients(lambda: ad.sum_all(x), [x], step=0.0)
 
 
+class TestNoGrad:
+    def test_block_records_nothing_then_recording_resumes(self):
+        x = DArray([1.0, 2.0], requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            inside = ad.sum_all(ad.square(x))  # still off after the inner block
+        after = ad.sum_all(ad.square(x))
+        assert not inside._parents and inside._backward is None
+        assert np.array_equal(inside.data, after.data)
+        x.zero_grad()
+        ad.backward(after)
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_recording_resumes_after_an_exception(self):
+        x = DArray([1.0], requires_grad=True)
+        with pytest.raises(ad.ShapeError):
+            with ad.no_grad():
+                ad.matmul(x, DArray(np.zeros((2, 2))))
+        assert ad.square(x)._parents
+
+    def test_check_gradients_records_only_the_first_call(self):
+        x = DArray([1.0, 2.0], requires_grad=True)
+        recorded = []
+
+        def f():
+            out = ad.sum_all(ad.square(x))
+            recorded.append(bool(out._parents))
+            return out
+
+        assert ad.check_gradients(f, [x]) < 1e-8
+        assert recorded == [True, False, False, False, False]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_primitive_gradients_randomized(seed):

@@ -123,6 +123,25 @@ class TestTrain:
         assert rc == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["empty-store", "episode-too-long"])
+    def test_rejected_dataset_exit_one(self, workspace, tmp_path, capsys,
+                                       case):
+        from drdt3.envs import TrajectoryStore
+        from drdt3.store_io import save_store
+        data, cfg = workspace / "stitch.bin", workspace / "tiny.cfg"
+        if case == "empty-store":
+            data = tmp_path / "empty.bin"
+            save_store(TrajectoryStore("stitchchain", 1, 1), data)
+        else:  # stitch episodes last up to 20 steps
+            cfg = tmp_path / "short.cfg"
+            cfg.write_text(TINY_CFG.replace("max_episode_len = 32",
+                                            "max_episode_len = 4"))
+        rc = main(["train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_data_exit_one(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
                    "--data", str(tmp_path / "nope.bin"),

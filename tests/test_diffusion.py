@@ -161,17 +161,6 @@ class TestDenoiseStep:
         with pytest.raises(ValueError, match="i=1"):
             denoise_step(np.zeros((1, 2)), np.zeros(2), 1, p, s, np.ones(2))
 
-    def test_sqrt_beta_variant_differs(self):
-        s = vp_schedule(3)
-        p = zeroed_params()
-        a = np.array([[1.0, 1.0]])
-        noise = np.full(2, 0.5)
-        o1, _ = denoise_step(a, np.zeros(2), 2, p, s, noise)
-        o2, _ = denoise_step(a, np.zeros(2), 2, p, s, noise,
-                             sqrt_beta_noise=True)
-        diff = (np.sqrt(s.beta[1]) - s.beta[1]) * noise
-        assert np.allclose(o2 - o1, diff)
-
 
 class TestSampleAction:
     def test_n1_zero_model_closed_form(self):

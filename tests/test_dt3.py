@@ -4,10 +4,10 @@ import pytest
 from drdt3 import autodiff as ad
 from drdt3.autodiff import DArray
 from drdt3.config import TrainConfig
-from drdt3.dt3 import (AttentionTTTBlock, ContextBatch, ContextWindow,
-                       DT3Params, TTTLinearLayer, TimestepRangeError,
-                       causal_attention, embed_context,
-                       predict_coarse_actions, predict_coarse_actions_batch,
+from drdt3.diffusion import NoiseApproximatorParams, predict_noise
+from drdt3.dt3 import (AttentionTTTBlock, ContextBatch, DT3Params,
+                       TTTLinearLayer, TimestepRangeError, causal_attention,
+                       embed_context, predict_coarse_actions_batch,
                        ttt_forward)
 
 
@@ -18,42 +18,60 @@ def tiny_cfg(**kw):
     return TrainConfig(**base).validate()
 
 
-def make_window(k=3, d_s=3, d_a=2, pad=0, rng=None, t0=0):
+def make_batch(k=3, d_s=3, d_a=2, pad=0, rng=None, t0=0):
+    """One context: `pad` zero rows, then k - pad random real steps."""
     rng = rng or np.random.default_rng(0)
     n = k - pad
-    return ContextWindow(
-        rtgs=np.concatenate([np.zeros(pad), rng.uniform(-1, 1, n)]),
-        states=np.concatenate([np.zeros((pad, d_s)),
-                               rng.uniform(-1, 1, (n, d_s))]),
-        actions=np.concatenate([np.zeros((pad, d_a)),
-                                rng.uniform(-1, 1, (n, d_a))]),
-        timesteps=np.concatenate([np.zeros(pad, dtype=int),
-                                  np.arange(t0, t0 + n)]),
-        pad_mask=np.concatenate([np.zeros(pad, bool), np.ones(n, bool)]),
-    ).validate()
+    return ContextBatch(
+        rtgs=[np.concatenate([np.zeros(pad), rng.uniform(-1, 1, n)])],
+        states=[np.concatenate([np.zeros((pad, d_s)),
+                                rng.uniform(-1, 1, (n, d_s))])],
+        actions=[np.concatenate([np.zeros((pad, d_a)),
+                                 rng.uniform(-1, 1, (n, d_a))])],
+        timesteps=[np.concatenate([np.zeros(pad, dtype=int),
+                                   np.arange(t0, t0 + n)])],
+        pad_mask=[np.concatenate([np.zeros(pad, bool), np.ones(n, bool)])],
+    )
 
 
-class TestContextWindow:
-    def test_noncontiguous_padding_rejected(self):
-        w = make_window()
-        w.pad_mask = np.array([True, False, True])
-        w.rtgs[1] = 0.0
-        w.states[1] = 0.0
-        w.actions[1] = 0.0
-        with pytest.raises(ValueError, match="contiguous"):
-            w.validate()
+def predict_one(batch, params):
+    """Coarse actions (K, d_a) of a one-context batch."""
+    return predict_coarse_actions_batch(batch, params).data[0]
 
-    def test_nonzero_padding_rejected(self):
-        w = make_window(pad=1)
-        w.rtgs[0] = 0.5
-        with pytest.raises(ValueError, match="all-zero"):
-            w.validate()
 
-    def test_nonconsecutive_timesteps_rejected(self):
-        w = make_window()
-        w.timesteps = np.array([0, 2, 3])
-        with pytest.raises(ValueError, match="increase by 1"):
-            w.validate()
+class TestSetRow:
+    """`ContextBatch.set_row` lays out one context from raw steps."""
+
+    def _filled(self, n=2, k=4, start=5):
+        rng = np.random.default_rng(26)
+        raw = (rng.uniform(-3, 3, n), rng.uniform(-3, 3, (n, 3)),
+               rng.uniform(-1, 1, (n, 2)))
+        batch = ContextBatch.zeros(2, k, 3, 2)
+        batch.set_row(1, start, *raw, 2.0, np.full(3, 0.5), np.full(3, 4.0))
+        return batch, raw
+
+    def test_padding_is_a_contiguous_prefix(self):
+        batch, _ = self._filled(n=2, k=4)
+        assert batch.pad_mask[1].tolist() == [False, False, True, True]
+        assert not batch.pad_mask[0].any()  # other rows are left alone
+
+    def test_padded_rows_are_zero(self):
+        batch, _ = self._filled(n=1, k=4)
+        for field in (batch.rtgs, batch.states, batch.actions,
+                      batch.timesteps):
+            assert not field[1, :3].any()
+            assert not field[0].any()
+
+    def test_real_timesteps_increase_by_one(self):
+        batch, _ = self._filled(n=3, k=4, start=5)
+        assert batch.timesteps[1].tolist() == [0, 5, 6, 7]
+
+    def test_normalizes_and_zeroes_newest_action(self):
+        batch, (rtgs, states, actions) = self._filled(n=2, k=4)
+        assert np.array_equal(batch.rtgs[1, 2:], rtgs / 2.0)
+        assert np.array_equal(batch.states[1, 2:], (states - 0.5) / 4.0)
+        assert np.array_equal(batch.actions[1, 2], actions[0])
+        assert not batch.actions[1, 3].any()
 
 
 class TestEmbedContext:
@@ -63,12 +81,12 @@ class TestEmbedContext:
         for lin in (params.proj_rtg, params.proj_state, params.proj_action):
             lin.w.data[:] = 0.0
             lin.b.data[:] = 0.0
-        w = make_window()
-        w.rtgs[:] = 0
-        w.states[:] = 0
-        w.actions[:] = 0
-        tokens, _ = embed_context(ContextBatch.from_windows([w]), params)
-        expect = params.time_table.data[w.timesteps]
+        batch = make_batch()
+        batch.rtgs[:] = 0
+        batch.states[:] = 0
+        batch.actions[:] = 0
+        tokens, _ = embed_context(batch, params)
+        expect = params.time_table.data[batch.timesteps[0]]
         for t in range(3):
             for m in range(3):
                 assert np.array_equal(tokens.data[0, 3 * t + m], expect[t])
@@ -77,16 +95,14 @@ class TestEmbedContext:
         rng = np.random.default_rng(2)
         cfg = tiny_cfg(context_len=6)
         params = DT3Params.init(rng, 3, 2, cfg)
-        w = make_window(k=6, pad=4, rng=rng)
-        _, mask = embed_context(ContextBatch.from_windows([w]), params)
+        _, mask = embed_context(make_batch(k=6, pad=4, rng=rng), params)
         assert not mask[0, :12].any()
         assert mask[0, 12:].all()
 
     def test_state_projection_linearity(self):
         rng = np.random.default_rng(3)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
-        w = make_window(rng=np.random.default_rng(4))
-        batch = ContextBatch.from_windows([w])
+        batch = make_batch(rng=np.random.default_rng(4))
         t1, _ = embed_context(batch, params)
         params.proj_state.w.data *= 2.0
         params.proj_state.b.data *= 2.0
@@ -97,15 +113,14 @@ class TestEmbedContext:
             assert np.allclose(diff[0, 3 * t], 0.0)
             assert np.allclose(diff[0, 3 * t + 2], 0.0)
             state_contrib = t1.data[0, 3 * t + 1] \
-                - params.time_table.data[w.timesteps[t]]
+                - params.time_table.data[batch.timesteps[0, t]]
             assert np.allclose(diff[0, 3 * t + 1], state_contrib)
 
     def test_timestep_out_of_range(self):
         rng = np.random.default_rng(5)
         params = DT3Params.init(rng, 3, 2, tiny_cfg(max_episode_len=4))
-        w = make_window(t0=3)
         with pytest.raises(TimestepRangeError):
-            embed_context(ContextBatch.from_windows([w]), params)
+            embed_context(make_batch(t0=3), params)
 
 
 class TestCausalAttention:
@@ -249,8 +264,7 @@ class TestPredict:
         for k in (3, 12):
             rng = np.random.default_rng(25)
             params = DT3Params.init(rng, 3, 2, tiny_cfg(context_len=k))
-            w = make_window(k=k, pad=1, rng=rng)
-            out = predict_coarse_actions_batch(ContextBatch.from_windows([w]),
+            out = predict_coarse_actions_batch(make_batch(k=k, pad=1, rng=rng),
                                                params)
             counts.append(_count_nodes(out))
         assert counts[0] == counts[1]
@@ -260,75 +274,89 @@ class TestPredict:
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
         params.head.w.data[:] = 0.0
         params.head.b.data[:] = 0.0
-        out = predict_coarse_actions(make_window(), params)
-        assert np.array_equal(out.data, np.zeros((3, 2)))
+        out = predict_one(make_batch(), params)
+        assert np.array_equal(out, np.zeros((3, 2)))
 
     def test_output_shape(self):
         rng = np.random.default_rng(11)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
-        out = predict_coarse_actions(make_window(pad=1), params)
-        assert out.shape == (3, 2)
+        out = predict_coarse_actions_batch(make_batch(pad=1), params)
+        assert out.shape == (1, 3, 2)
 
     @pytest.mark.parametrize("pad", [0, 1, 2, 3])
     def test_padding_invariance(self, pad):
         # the same 3 real steps, preceded by 0..3 rows of zero padding
         rng = np.random.default_rng(12)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
-        base = make_window(k=3, rng=np.random.default_rng(13))
-        w = ContextWindow(
-            rtgs=np.concatenate([np.zeros(pad), base.rtgs]),
-            states=np.concatenate([np.zeros((pad, 3)), base.states]),
-            actions=np.concatenate([np.zeros((pad, 2)), base.actions]),
-            timesteps=np.concatenate([np.zeros(pad, int), base.timesteps]),
-            pad_mask=np.concatenate([np.zeros(pad, bool), np.ones(3, bool)]),
-        ).validate()
-        out_padded = predict_coarse_actions(w, params).data[pad:]
-        out_ref = predict_coarse_actions(base, params).data
+        base = make_batch(k=3, rng=np.random.default_rng(13))
+
+        def padded(x):
+            return np.concatenate([np.zeros((1, pad) + x.shape[2:], x.dtype),
+                                   x], axis=1)
+        batch = ContextBatch(padded(base.rtgs), padded(base.states),
+                             padded(base.actions), padded(base.timesteps),
+                             padded(base.pad_mask))
+        out_padded = predict_one(batch, params)[pad:]
+        out_ref = predict_one(base, params)
         assert np.allclose(out_padded, out_ref, atol=1e-10)
 
     def test_causality_future_tokens(self):
         rng = np.random.default_rng(14)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
-        w1 = make_window(rng=np.random.default_rng(15))
-        w2 = ContextWindow(
-            rtgs=w1.rtgs.copy(), states=w1.states.copy(),
-            actions=w1.actions.copy(), timesteps=w1.timesteps.copy(),
-            pad_mask=w1.pad_mask.copy(),
-        )
-        w2.states[2] += 5.0
-        w2.rtgs[2] -= 3.0
-        out1 = predict_coarse_actions(w1, params).data
-        out2 = predict_coarse_actions(w2, params).data
+        w1 = make_batch(rng=np.random.default_rng(15))
+        w2 = make_batch(rng=np.random.default_rng(15))
+        w2.states[0, 2] += 5.0
+        w2.rtgs[0, 2] -= 3.0
+        out1 = predict_one(w1, params)
+        out2 = predict_one(w2, params)
         assert np.array_equal(out1[:2], out2[:2])
 
     def test_fast_weight_isolation_and_determinism(self):
         rng = np.random.default_rng(16)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
-        a = make_window(rng=np.random.default_rng(17))
-        b = make_window(rng=np.random.default_rng(18))
-        out_b_first = predict_coarse_actions(b, params).data.copy()
-        _ = predict_coarse_actions(a, params)
-        out_b_second = predict_coarse_actions(b, params).data
+        a = make_batch(rng=np.random.default_rng(17))
+        b = make_batch(rng=np.random.default_rng(18))
+        out_b_first = predict_one(b, params).copy()
+        _ = predict_one(a, params)
+        out_b_second = predict_one(b, params)
         assert np.array_equal(out_b_first, out_b_second)
 
     def test_dt_mode_differs_from_full_block(self):
         rng = np.random.default_rng(19)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
-        w = make_window(rng=np.random.default_rng(20))
-        full = predict_coarse_actions(w, params).data.copy()
+        w = make_batch(rng=np.random.default_rng(20))
+        full = predict_one(w, params).copy()
         params.dt_mode = True
-        dt = predict_coarse_actions(w, params).data
+        dt = predict_one(w, params)
         assert not np.allclose(full, dt)
 
     def test_gradients_flow_through_inner_update(self):
         rng = np.random.default_rng(23)
         params = DT3Params.init(rng, 3, 2, tiny_cfg())
-        w = make_window(rng=np.random.default_rng(24))
+        w = make_batch(rng=np.random.default_rng(24))
         ttt_params = [p for _, p in params.block.ttt.named("ttt")]
         ad.zero_grads(ttt_params)
-        loss = ad.sum_all(ad.square(predict_coarse_actions(w, params)))
+        loss = ad.sum_all(ad.square(predict_coarse_actions_batch(w, params)))
         ad.backward(loss)
         tk = dict(params.block.ttt.named("ttt"))["ttt.theta_k"]
         tv = dict(params.block.ttt.named("ttt"))["ttt.theta_v"]
         assert np.any(tk.grad != 0)
         assert np.any(tv.grad != 0)
+
+    def test_no_grad_forward_is_bitwise_equal_and_untracked(self):
+        rng = np.random.default_rng(27)
+        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        noise = NoiseApproximatorParams(2, 8, 4, 2, "full", rng)
+        batch = make_batch(pad=1, rng=np.random.default_rng(28))
+        a_i = rng.standard_normal((1, 2))
+
+        def forward():
+            coarse = predict_coarse_actions_batch(batch, params)
+            return coarse, predict_noise(a_i, coarse[:, -1, :], [2], noise)
+
+        recorded = forward()
+        with ad.no_grad():
+            untracked = forward()
+        for r, u in zip(recorded, untracked):
+            assert r._parents and not u._parents
+            assert np.array_equal(r.data, u.data)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drdt3 import diffusion, envs
 from drdt3.bundle import fresh_bundle
 from drdt3.config import TrainConfig
 from drdt3.envs import (StitchChain, PointReach, Trajectory, compute_rtg,
@@ -59,6 +60,33 @@ class TestInitialRtg:
         _, _, g0 = rollout(bundle, make_env(env_id), 1.5,
                            np.random.default_rng(0), mode="dt3-only")
         assert g0 == initial_rtg(bundle.initial_return, 1.5)
+
+
+class TestRollout:
+    @pytest.mark.parametrize("env_id,tier", [("stitchchain", "stitch"),
+                                             ("pointreach", "medium")])
+    def test_drdt3_episode_records_no_graph(self, env_id, tier, monkeypatch):
+        store = generate_dataset(env_id, tier, 2, seed=0)
+        cfg = TrainConfig(embed_dim=8, cond_hidden=8, time_embed_dim=4,
+                          mlp_expansion=2).validate()
+        bundle = fresh_bundle(cfg, store)
+        outputs = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                outputs.append(fn(*args, **kwargs))
+                return outputs[-1]
+            return wrapper
+
+        monkeypatch.setattr(envs, "predict_coarse_actions_batch",
+                            recording(envs.predict_coarse_actions_batch))
+        monkeypatch.setattr(diffusion, "predict_noise",
+                            recording(diffusion.predict_noise))
+        _, traj, _ = rollout(bundle, make_env(env_id), 1.0,
+                             np.random.default_rng(0), mode="drdt3")
+        # one coarse prediction and N noise predictions per env-step
+        assert len(outputs) == traj.length * (1 + cfg.n_diffusion_steps)
+        assert all(out._parents == () for out in outputs)
 
 
 class TestEnvs:

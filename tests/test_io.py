@@ -98,6 +98,17 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreFormatError, match=key):
             load_store(p)
 
+    @pytest.mark.parametrize("key, value, n_records", [
+        ("n_traj", -1, 0), ("d_s", 0, 6), ("d_s", -1, 6), ("d_a", 0, 6)])
+    def test_header_out_of_range_rejected(self, store, tmp_path, key, value,
+                                          n_records):
+        p = tmp_path / "r.bin"
+        save_store(TrajectoryStore(store.env_id, store.d_s, store.d_a,
+                                   store.trajectories[:n_records]), p)
+        _rewrite_header(p, lambda h: h.update({key: value}))
+        with pytest.raises(StoreFormatError, match=key):
+            load_store(p)
+
     @pytest.mark.parametrize("line", [b"traj x7\n", b"traj 7.5\n",
                                       b"traj\n"])
     def test_non_integer_trajectory_length_rejected(self, store, tmp_path,
@@ -159,12 +170,13 @@ class TestBundleRoundTrip:
             load_bundle(p)
 
     @pytest.mark.parametrize("old,new,match", [
-        (b"drdt3-bundle/2", b"drdt3-bundle/1", "version mismatch"),
+        (b"drdt3-bundle/3", b"drdt3-bundle/1", "version mismatch"),
+        (b"drdt3-bundle/3", b"drdt3-bundle/2", "version mismatch"),
         (b'{"config":', b'{"config"', "JSONDecodeError"),
         (b'"config":{', b'"config":{"ttt_proj_rank":0,', "ttt_proj_rank"),
         (b'"objective":"unified",', b"", "objective"),
         (b'"d_s":1,', b"", "d_s"),
-    ], ids=["v1-magic", "mangled-json", "unknown-config-key",
+    ], ids=["v1-magic", "v2-magic", "mangled-json", "unknown-config-key",
             "missing-config-key", "missing-header-key"])
     def test_bad_header_rejected(self, store, tiny_config, tmp_path, old, new,
                                  match):
