@@ -1,10 +1,13 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Every operation that participates in training is a recorded primitive with a
-hand-written adjoint. The graph is built eagerly; `backward` walks it in
-reverse topological order, visiting each node exactly once. Leaf gradients
-accumulate across backward calls until `zero_grad`. Inside `with no_grad():`
-nothing is recorded, so inference builds no graph.
+hand-written adjoint. The engine holds only the primitives the model records,
+and `drdt3 check` finite-difference checks each of them. All indexing goes
+through one gather, `take_slice` (`DArray.__getitem__`). The graph is built
+eagerly; `backward` walks it in reverse topological order, visiting each node
+exactly once. Leaf gradients accumulate across backward calls until
+`zero_grad`. Inside `with no_grad():` nothing is recorded, so inference
+builds no graph.
 """
 
 from __future__ import annotations
@@ -201,7 +204,13 @@ def concat(arrays, axis=-1):
 
 
 def take_slice(a, key):
-    """Basic indexing (ints/slices); adjoint scatters into a zero buffer."""
+    """`a[key]` for any numpy key: ints, slices, or integer index arrays.
+
+    This one gather serves slicing, row lookups in an embedding table and
+    reads at fixed positions. The adjoint scatters into a zero buffer with
+    `np.add.at`, so an index that occurs more than once accumulates its
+    gradient.
+    """
     def bwd(g, acc):
         buf = np.zeros_like(a.data)
         np.add.at(buf, key, g)
@@ -209,51 +218,10 @@ def take_slice(a, key):
     return _node(a.data[key], (a,), bwd)
 
 
-def take_rows(a, indices, axis):
-    """Gather along `axis` with an integer index array."""
-    indices = np.asarray(indices)
-
-    def bwd(g, acc):
-        buf = np.zeros_like(a.data)
-        idx = [slice(None)] * a.ndim
-        idx[axis] = indices
-        np.add.at(buf, tuple(idx), g)
-        acc(a, buf)
-    return _node(np.take(a.data, indices, axis=axis), (a,), bwd)
-
-
-def embedding(table, indices):
-    """Row lookup in a 2-D table; duplicate indices accumulate gradient."""
-    if table.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
-    indices = np.asarray(indices)
-
-    def bwd(g, acc):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, indices.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        acc(table, buf)
-    return _node(table.data[indices], (table,), bwd)
-
-
 def sum_all(a):
     def bwd(g, acc):
         acc(a, np.broadcast_to(g, a.shape).copy())
     return _node(a.data.sum(), (a,), bwd)
-
-
-def sum_axis(a, axis, keepdims=False):
-    def bwd(g, acc):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        acc(a, np.broadcast_to(gg, a.shape).copy())
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-def mean_all(a):
-    n = a.data.size
-
-    def bwd(g, acc):
-        acc(a, np.broadcast_to(g / n, a.shape).copy())
-    return _node(a.data.mean(), (a,), bwd)
 
 
 def absval(a):
@@ -277,16 +245,6 @@ def gelu(a):
     def bwd(g, acc):
         acc(a, g * (phi_cdf + a.data * pdf))
     return _node(a.data * phi_cdf, (a,), bwd)
-
-
-def softmax_lastdim(a):
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g, acc):
-        acc(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
-    return _node(s, (a,), bwd)
 
 
 def masked_softmax(a, mask):

@@ -58,11 +58,8 @@ class PolicyBundle:
 
 def fresh_bundle(config, store, seed=None):
     """Initialize a bundle for the given dataset's dimensions and stats."""
-    from .envs import make_env_spec
-
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-    spec = make_env_spec(store.env_id)
     dt3 = DT3Params.init(rng, store.d_s, store.d_a, config)
     noise = NoiseApproximatorParams(
         store.d_a, config.cond_hidden, config.time_embed_dim,

@@ -22,74 +22,57 @@ def _rand(rng, *shape, bound=2.0):
 
 
 def check_primitives(rng=None, trials=100):
-    """Finite-difference checks on every recorded primitive."""
+    """Finite-difference checks, one `primitive.<name>` line for each
+    recorded primitive of `autodiff`."""
     rng = rng or np.random.default_rng(0)
-    results = []
-    cases = {
-        "matmul": lambda x, y: ad.matmul(x, y),
-        "add": lambda x, y: x + y,
-        "sub": lambda x, y: x - y,
-        "mul": lambda x, y: ad.mul(x, y),
-    }
-    worst = {name: 0.0 for name in cases}
-    worst.update({
-        "layer_norm": 0.0, "softmax": 0.0, "gelu": 0.0, "abs": 0.0,
-        "square": 0.0, "concat": 0.0, "transpose": 0.0, "embedding": 0.0,
-        "mean": 0.0, "sum": 0.0, "scale": 0.0, "slice": 0.0,
-        "ttt_linear": 0.0,
-    })
+    worst = {}
+
+    def check(name, f, params):
+        worst[name] = max(worst.get(name, 0.0), ad.check_gradients(f, params))
+
+    def sq(t):
+        return ad.sum_all(ad.square(t))
+
+    # Row 0 masks one key, row 1 another.
+    key_mask = np.array([[True, False, True, True, True],
+                         [True, True, True, True, False]])
     for _ in range(trials):
         a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
-        worst["matmul"] = max(worst["matmul"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.matmul(a, b))), [a, b]))
+        check("matmul", lambda: sq(ad.matmul(a, b)), [a, b])
         x, y = _rand(rng, 2, 5), _rand(rng, 2, 5)
-        worst["add"] = max(worst["add"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(x + y)), [x, y]))
-        worst["sub"] = max(worst["sub"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(x - y)), [x, y]))
-        worst["mul"] = max(worst["mul"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.mul(x, y))), [x, y]))
-        worst["scale"] = max(worst["scale"], ad.check_gradients(
-            lambda: ad.sum_all(ad.scale(ad.square(x), 1.7)), [x]))
+        check("add", lambda: sq(x + y), [x, y])
+        check("sub", lambda: sq(x - y), [x, y])
+        check("mul", lambda: sq(ad.mul(x, y)), [x, y])
+        check("scale", lambda: ad.sum_all(ad.scale(ad.square(x), 1.7)), [x])
         g, bias = _rand(rng, 5), _rand(rng, 5)
-        worst["layer_norm"] = max(worst["layer_norm"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.layer_norm(x, g, bias))),
-            [x, g, bias]))
-        worst["softmax"] = max(worst["softmax"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.softmax_lastdim(x))), [x]))
-        worst["gelu"] = max(worst["gelu"], ad.check_gradients(
-            lambda: ad.sum_all(ad.gelu(x)), [x]))
-        worst["abs"] = max(worst["abs"], ad.check_gradients(
-            lambda: ad.sum_all(ad.absval(ad.square(x) + 0.5)), [x]))
-        worst["square"] = max(worst["square"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(x)), [x]))
-        worst["concat"] = max(worst["concat"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.concat([x, y], axis=-1))), [x, y]))
-        worst["transpose"] = max(worst["transpose"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.matmul(x, ad.transpose(y)))),
-            [x, y]))
-        worst["sum"] = max(worst["sum"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.sum_axis(x, 0))), [x]))
-        worst["mean"] = max(worst["mean"], ad.check_gradients(
-            lambda: ad.square(ad.mean_all(ad.square(x))), [x]))
-        worst["slice"] = max(worst["slice"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(x[:, 1:4])), [x]))
+        check("layer_norm", lambda: sq(ad.layer_norm(x, g, bias)),
+              [x, g, bias])
+        check("masked_softmax", lambda: sq(ad.masked_softmax(x, key_mask)),
+              [x])
+        check("gelu", lambda: ad.sum_all(ad.gelu(x)), [x])
+        check("absval", lambda: ad.sum_all(ad.absval(ad.square(x) + 0.5)),
+              [x])
+        check("square", lambda: sq(x), [x])
+        check("sum_all", lambda: ad.square(ad.sum_all(x)), [x])
+        check("reshape", lambda: sq(ad.reshape(x, (5, 2))), [x])
+        check("concat", lambda: sq(ad.concat([x, y], axis=-1)), [x, y])
+        check("transpose", lambda: sq(ad.matmul(x, ad.transpose(y))),
+              [x, y])
+        check("take_slice", lambda: sq(x[:, 1:4]), [x])
+        # An integer-array key with a repeated row, as in a table lookup.
         table = _rand(rng, 6, 3)
         idx = rng.integers(0, 6, size=4)
-        worst["embedding"] = max(worst["embedding"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.embedding(table, idx))), [table]))
+        idx[-1] = idx[0]
+        check("take_slice", lambda: sq(table[idx]), [table])
         # Two sequences of 4 tokens, the first with a 2-token padded prefix;
         # small inputs keep the inner recurrence well inside its stable range.
         seq = _rand(rng, 2, 4, 3, bound=0.5)
         ttt = [_rand(rng, 3, 3, bound=0.5) for _ in range(4)]
         mask = np.array([[0, 0, 1, 1], [1, 1, 1, 1]], dtype=np.float64)
         c = rng.uniform(0.5, 2.0) * mask
-        worst["ttt_linear"] = max(worst["ttt_linear"], ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.ttt_linear(seq, *ttt, c))),
-            [seq] + ttt))
-    for name in sorted(worst):
-        results.append((f"primitive.{name}", worst[name], 1e-4))
-    return results
+        check("ttt_linear", lambda: sq(ad.ttt_linear(seq, *ttt, c)),
+              [seq] + ttt)
+    return [(f"primitive.{name}", worst[name], 1e-4) for name in sorted(worst)]
 
 
 def _tiny_config(d=8, k=3, n=3):

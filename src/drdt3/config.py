@@ -9,7 +9,8 @@ from .diffusion import VARIANTS
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys or untypeable values in a config file."""
+    """Raised for unknown or repeated keys, untypeable values, or invalid
+    settings in a config."""
 
 
 @dataclass
@@ -71,6 +72,13 @@ class TrainConfig:
             )
         if self.n_diffusion_steps < 1:
             raise ConfigError("n_diffusion_steps must be >= 1")
+        if self.cond_hidden < 1:
+            raise ConfigError("cond_hidden must be >= 1")
+        if self.mlp_expansion < 1:
+            raise ConfigError("mlp_expansion must be >= 1")
+        if self.time_embed_dim < 2 or self.time_embed_dim % 2:
+            # The sinusoidal embedding has one sin and one cos per frequency.
+            raise ConfigError("time_embed_dim must be even and >= 2")
         if not (0 < self.beta_min <= self.beta_max):
             raise ConfigError("need 0 < beta_min <= beta_max")
         if self.batch_size < 1:
@@ -101,7 +109,8 @@ def _coerce(name, raw, typ):
 
 
 def parse_config_text(text):
-    """Parse `key = value` lines into a TrainConfig; unknown keys are rejected."""
+    """Parse `key = value` lines into a TrainConfig; unknown and repeated
+    keys are rejected."""
     by_name = {f.name: f for f in fields(TrainConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -113,6 +122,8 @@ def parse_config_text(text):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in by_name:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice")
         values[key] = _coerce(key, raw, _field_type(by_name[key]))
     return TrainConfig(**values).validate()
 
@@ -134,8 +145,3 @@ def load_config(path):
 def config_to_dict(cfg):
     return dataclasses.asdict(cfg)
 
-
-def config_to_text(cfg):
-    return "".join(
-        f"{k} = {v}\n" for k, v in sorted(config_to_dict(cfg).items())
-    )

@@ -138,13 +138,12 @@ def sinusoidal_embedding(i, dim):
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
-def predict_noise(a_i, cond_action, i, params, sched=None):
+def predict_noise(a_i, cond_action, i, params):
     """Epsilon prediction for a batch: a_i (B,d_a), cond_action (B,d_a), i (B,).
 
-    Accepts DArray or ndarray inputs; returns a DArray (B, d_a).
+    Accepts DArray or ndarray inputs; returns a DArray (B, d_a). Callers
+    range-check the steps `i` against their schedule.
     """
-    if sched is not None:
-        _check_step(i, sched)
     a_i = a_i if isinstance(a_i, DArray) else DArray(np.atleast_2d(a_i))
     cond = cond_action if isinstance(cond_action, DArray) \
         else DArray(np.atleast_2d(cond_action))

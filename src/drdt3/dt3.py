@@ -207,13 +207,14 @@ def embed_context(batch, params):
     (rtg, state, action); token_mask (B, 3K) bool.
     """
     b, k = batch.rtgs.shape
+    # Indexing would wrap a negative timestep silently; reject it here.
     if batch.timesteps.min() < 0 or \
             batch.timesteps.max() >= params.time_table.shape[0]:
         raise TimestepRangeError(
             f"timesteps outside embedding table of length "
             f"{params.time_table.shape[0]}"
         )
-    temb = ad.embedding(params.time_table, batch.timesteps)      # (B,K,d)
+    temb = params.time_table[batch.timesteps]                    # (B,K,d)
     tok_rtg = params.proj_rtg(DArray(batch.rtgs[..., None])) + temb
     tok_state = params.proj_state(DArray(batch.states)) + temb
     tok_action = params.proj_action(DArray(batch.actions)) + temb
@@ -286,4 +287,4 @@ def predict_coarse_actions_batch(batch, params):
     """Coarse action sequence (B, K, d_a), read at state-token positions."""
     h, _ = forward_hidden(batch, params)
     state_pos = np.arange(batch.context_len) * TOKENS_PER_STEP + 1
-    return params.head(ad.take_rows(h, state_pos, axis=1))
+    return params.head(h[:, state_pos])

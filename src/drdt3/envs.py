@@ -8,13 +8,13 @@ single dataset episode solves the task from the true start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .dt3 import ContextBatch, predict_coarse_actions_batch
-from .diffusion import sample_action
+from .diffusion import sample_action, vp_schedule
 
 
 @dataclass
@@ -27,7 +27,6 @@ class EnvSpec:
     reward_kind: str                 # dense | sparse
     random_score: float
     expert_score: float
-    gamma: float = 1.0               # recorded only; returns are undiscounted
 
     def validate(self):
         if self.a_max <= 0 or self.t_max < 1:
@@ -49,14 +48,11 @@ class Trajectory:
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         if not (len(self.states) == len(self.actions) == len(self.rewards)):
             raise ValueError("trajectory field lengths disagree")
+        self.rtgs = compute_rtg(self.rewards)
 
     @property
     def length(self):
         return len(self.rewards)
-
-    @property
-    def rtgs(self):
-        return compute_rtg(self.rewards)
 
     @property
     def ret(self):
@@ -64,29 +60,21 @@ class Trajectory:
 
 
 class TrajectoryStore:
+    """A dataset's trajectories and the statistics derived from them once,
+    when the store is built: state mean and std, and the largest absolute
+    return."""
+
     def __init__(self, env_id, d_s, d_a, trajectories=()):
         self.env_id = env_id
         self.d_s = d_s
         self.d_a = d_a
-        self.trajectories = []
-        self.state_mean = np.zeros(d_s)
-        self.state_std = np.ones(d_s)
-        self.max_abs_return = 1.0
-        for t in trajectories:
-            self.add(t, _recompute=False)
-        self._recompute_stats()
-
-    def add(self, traj, _recompute=True):
-        if traj.states.shape[1] != self.d_s or traj.actions.shape[1] != self.d_a:
-            raise ValueError("trajectory dims do not match store")
-        self.trajectories.append(traj)
-        if _recompute:
-            self._recompute_stats()
-
-    def _recompute_stats(self):
+        self.trajectories = list(trajectories)
+        for t in self.trajectories:
+            if t.states.shape[1] != d_s or t.actions.shape[1] != d_a:
+                raise ValueError("trajectory dims do not match store")
         if not self.trajectories:
-            self.state_mean = np.zeros(self.d_s)
-            self.state_std = np.ones(self.d_s)
+            self.state_mean = np.zeros(d_s)
+            self.state_std = np.ones(d_s)
             self.max_abs_return = 1.0
             return
         allstates = np.concatenate([t.states for t in self.trajectories])
@@ -226,21 +214,20 @@ def _run_policy(env, policy, rng, episodes):
     return total / episodes
 
 
-def make_env_spec(env_id, ref_episodes=100, ref_seed=0):
+def make_env_spec(env_id):
     """EnvSpec with reference scores measured from in-repo random and expert
-    controllers (cached per env)."""
+    controllers over 100 seeded episodes (cached per env)."""
     if env_id in _SPEC_CACHE:
         return _SPEC_CACHE[env_id]
     env = make_env(env_id)
     d_a = 2 if env_id == "pointreach" else 1
     d_s = 4 if env_id == "pointreach" else 1
-    rng = np.random.default_rng(ref_seed)
     random_score = _run_policy(
-        env, lambda s, r: r.uniform(-1.0, 1.0, size=d_a), rng, ref_episodes
+        env, lambda s, r: r.uniform(-1.0, 1.0, size=d_a),
+        np.random.default_rng(0), 100,
     )
-    rng = np.random.default_rng(ref_seed)
     expert_score = _run_policy(
-        env, lambda s, r: env.expert_action(s), rng, ref_episodes
+        env, lambda s, r: env.expert_action(s), np.random.default_rng(0), 100
     )
     spec = EnvSpec(
         env_id=env_id, d_s=d_s, d_a=d_a, a_max=1.0,
@@ -292,7 +279,7 @@ def generate_dataset(env_id, tier, n_traj, seed):
         raise ValueError("n_traj must be >= 1")
     rng = np.random.default_rng(seed)
     spec = make_env_spec(env_id)
-    store = TrajectoryStore(env_id, spec.d_s, spec.d_a)
+    trajs = []
 
     if tier == "stitch":
         if env_id != "stitchchain":
@@ -316,12 +303,10 @@ def generate_dataset(env_id, tier, n_traj, seed):
                     env, lambda s, g: np.array([1.0]), rng, start=4.0
                 )
                 assert traj.ret == 1.0
-            store.add(traj, _recompute=False)
-        store._recompute_stats()
-        assert not any(
-            t.states[0, 0] == 0.0 and t.ret > 0.0 for t in store.trajectories
-        ), "stitch dataset must not contain a full solution"
-        return store
+            trajs.append(traj)
+        assert not any(t.states[0, 0] == 0.0 and t.ret > 0.0 for t in trajs), \
+            "stitch dataset must not contain a full solution"
+        return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
 
     target_medium = spec.random_score + (spec.expert_score - spec.random_score) / 3.0
     if tier == "medium":
@@ -335,12 +320,10 @@ def generate_dataset(env_id, tier, n_traj, seed):
 
     for sigma_j in sigmas:
         env = make_env(env_id)
-        traj = _record_episode(
+        trajs.append(_record_episode(
             env, lambda s, g: env.expert_action(s, g, sigma_j), rng
-        )
-        store.add(traj, _recompute=False)
-    store._recompute_stats()
-    return store
+        ))
+    return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +336,6 @@ def rollout(bundle, env, rtg_scale, rng, mode="drdt3"):
     rtg_scale)` and decremented by observed rewards, coarse prediction
     optionally refined by the diffusion chain. No autodiff graph is
     recorded. Returns (return, trajectory, starting RTG)."""
-    from .diffusion import vp_schedule
-
     spec = make_env_spec(env.env_id)
     cfg = bundle.config
     k = cfg.context_len

@@ -119,8 +119,9 @@ class AdamW:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads=None):
-        grads = [p.grad for p in self.params] if grads is None else grads
+    def step(self):
+        """One update from each parameter's `.grad`."""
+        grads = [p.grad for p in self.params]
         for g in grads:
             if g is None or not np.all(np.isfinite(g)):
                 raise TrainingAborted("non-finite or missing gradient")

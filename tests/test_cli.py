@@ -91,21 +91,31 @@ class TestTrain:
 
     def test_config_parse_error_exit_one(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        for line, named in (("not_a_field = 3", "not_a_field"),
-                            ("n_heads = 0", "n_heads"),
-                            ("batch_size = 0", "batch_size"),
-                            ("rtg_scale = 0", "rtg_scale"),
-                            ("rtg_scale = -1", "rtg_scale"),
-                            ("eval_episodes = -1", "eval_episodes"),
-                            ("epochs = 0", "epochs"),
-                            ("updates_per_epoch = 0", "updates_per_epoch"),
-                            ("embed_dim = 0", "embed_dim")):
-            bad.write_text(f"embed_dim = 8\n{line}\n")
+        cases = [(f"embed_dim = 8\n{line}", named) for line, named in (
+            ("not_a_field = 3", "not_a_field"),
+            ("n_heads = 0", "n_heads"),
+            ("batch_size = 0", "batch_size"),
+            ("rtg_scale = 0", "rtg_scale"),
+            ("rtg_scale = -1", "rtg_scale"),
+            ("eval_episodes = -1", "eval_episodes"),
+            ("epochs = 0", "epochs"),
+            ("updates_per_epoch = 0", "updates_per_epoch"),
+            ("seed = 1\nseed = 1", "seed"),
+            ("cond_hidden = 0", "cond_hidden"),
+            ("mlp_expansion = 0", "mlp_expansion"),
+            ("mlp_expansion = -1", "mlp_expansion"),
+            ("time_embed_dim = 0", "time_embed_dim"),
+            ("time_embed_dim = 1", "time_embed_dim"),
+            ("time_embed_dim = 3", "time_embed_dim"))]
+        # Alone: after the `embed_dim = 8` line it would be a repeated key.
+        cases.append(("embed_dim = 0", "embed_dim"))
+        for text, named in cases:
+            bad.write_text(text + "\n")
             rc = main(["train", "--config", str(bad),
                        "--data", str(workspace / "stitch.bin"),
                        "--out", str(tmp_path / "r")])
-            assert rc == 1, line
-            assert named in capsys.readouterr().err, line
+            assert rc == 1, text
+            assert named in capsys.readouterr().err, text
 
     @pytest.mark.parametrize("old, new", [
         (b'"n_traj":', b'"n_trajs":'),          # missing header key

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from drdt3 import diffusion, envs
 from drdt3.bundle import fresh_bundle
 from drdt3.config import TrainConfig
-from drdt3.envs import (StitchChain, PointReach, Trajectory, compute_rtg,
-                        generate_dataset, initial_rtg, make_env,
+from drdt3.envs import (StitchChain, PointReach, Trajectory, TrajectoryStore,
+                        compute_rtg, generate_dataset, initial_rtg, make_env,
                         make_env_spec, normalized_score, rollout)
 
 
@@ -201,5 +201,6 @@ class TestGenerateDataset:
         before = store.max_abs_return
         t = Trajectory(np.full((3, 1), 2.0), np.zeros((3, 1)),
                        np.array([1.0, 1.0, 1.0]))
-        store.add(t)
+        store = TrajectoryStore(store.env_id, store.d_s, store.d_a,
+                                store.trajectories + [t])
         assert store.max_abs_return == 3.0 and before != 3.0
