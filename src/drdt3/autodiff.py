@@ -88,9 +88,6 @@ class DArray:
     def __neg__(self):
         return scale(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take_slice(self, key)
 
@@ -158,29 +155,26 @@ def scale(a, s):
     return _node(a.data * s, (a,), bwd)
 
 
-def matmul(a, b):
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+def affine(x, w, b):
+    """x @ w + b over the last dim of x, any number of leading dims.
+
+    The weight gradient is one GEMM over all leading rows, x2^T g2, not a
+    stack of per-row products summed afterwards.
+    """
+    if x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
         raise ShapeError(
-            f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
+            f"affine shapes disagree: x {x.data.shape}, w {w.data.shape}, "
+            f"b {b.data.shape}"
         )
-    out = np.matmul(a.data, b.data)
+    out = np.matmul(x.data, w.data)
+    out += b.data
 
     def bwd(g, acc):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        acc(a, _unbroadcast(ga, a.shape))
-        acc(b, _unbroadcast(gb, b.shape))
-    return _node(out, (a, b), bwd)
-
-
-def transpose(a, axes=None):
-    if axes is None:
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    inv = np.argsort(axes)
-
-    def bwd(g, acc):
-        acc(a, np.transpose(g, inv))
-    return _node(np.transpose(a.data, axes), (a,), bwd)
+        g2 = g.reshape(-1, g.shape[-1])
+        acc(x, np.matmul(g, w.data.T))
+        acc(w, x.data.reshape(-1, w.data.shape[0]).T @ g2)
+        acc(b, g2.sum(axis=0))
+    return _node(out, (x, w, b), bwd)
 
 
 def reshape(a, shape):
@@ -203,17 +197,31 @@ def concat(arrays, axis=-1):
     )
 
 
+def _is_basic_key(key):
+    """True for a key of ints and slices, which selects each element at
+    most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, (int, np.integer, slice))
+               and not isinstance(k, bool) for k in parts)
+
+
 def take_slice(a, key):
     """`a[key]` for any numpy key: ints, slices, or integer index arrays.
 
     This one gather serves slicing, row lookups in an embedding table and
-    reads at fixed positions. The adjoint scatters into a zero buffer with
-    `np.add.at`, so an index that occurs more than once accumulates its
+    reads at fixed positions. The adjoint writes `g` into a zero buffer:
+    by assignment for a key of ints and slices, and with `np.add.at` for an
+    index array, so an index that occurs more than once accumulates its
     gradient.
     """
+    basic = _is_basic_key(key)
+
     def bwd(g, acc):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
+        if basic:
+            buf[key] = g
+        else:
+            np.add.at(buf, key, g)
         acc(a, buf)
     return _node(a.data[key], (a,), bwd)
 
@@ -247,24 +255,6 @@ def gelu(a):
     return _node(a.data * phi_cdf, (a,), bwd)
 
 
-def masked_softmax(a, mask):
-    """Softmax over the last dim with masked entries exactly zero.
-
-    `mask` is a boolean array broadcastable to `a`; False entries get zero
-    probability (true -inf logits, so masked keys can never leak through).
-    Every row must have at least one True entry.
-    """
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.data.shape)
-    logits = np.where(mask, a.data, -np.inf)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(shifted), 0.0)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g, acc):
-        acc(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
-    return _node(s, (a,), bwd)
-
-
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last dimension, then apply the affine (gain, bias)."""
     d = x.data.shape[-1]
@@ -275,21 +265,91 @@ def layer_norm(x, gain, bias, eps=1e-5):
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match "
             f"feature dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # np.add.reduce(..) / d is the arithmetic of ndarray.mean without its
+    # dispatch overhead, and the in-place steps do the arithmetic of the
+    # plain expressions, in the same order, with fewer temporaries.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g, acc):
         lead = tuple(range(g.ndim - 1))
-        acc(gain, (g * xhat).sum(axis=lead))
+        gx = g * xhat
+        acc(gain, gx.sum(axis=lead))
         acc(bias, g.sum(axis=lead))
-        gx = g * gain.data
-        acc(x, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        # gx <- inv * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g gain
+        np.multiply(g, gain.data, out=gx)
+        t = gx * xhat
+        r = np.add.reduce(t, axis=-1, keepdims=True) / d
+        np.multiply(xhat, r, out=t)
+        gx -= np.add.reduce(gx, axis=-1, keepdims=True) / d
+        gx -= t
+        gx *= inv
+        acc(x, gx)
     return _node(out, (x, gain, bias), bwd)
+
+
+def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
+    """Multi-head causal self-attention over a (B, s, d) sequence with its
+    output projection: softmax(Q K^T / sqrt(d_h)) V W_o + b_o, where
+    Q = x W_q + b_q and so on, in one GEMM.
+
+    Query t sees each key j <= t whose `key_mask[:, j]` (B, s) is True, and
+    always itself, so a fully padded query attends to itself only. Masked
+    keys get exactly zero weight, so row t of the output depends only on
+    tokens <= t, bitwise. The adjoint uses the softmax backward
+    dS = P (dP - rowsum(dP P)) of Dao et al. 2022 (FlashAttention).
+    """
+    xd = x.data
+    b, s, d = xd.shape
+    if d % n_heads:
+        raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
+    dh = d // n_heads
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = np.matmul(xd, w_qkv)
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    # q, k, v: (B, heads, s, d_h) views of the (B, s, 3, heads, d_h) product.
+    q, k, v = qkv.reshape(b, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    scale = float(1.0 / np.sqrt(dh))
+    mask = np.tril(np.ones((s, s), dtype=bool)) & key_mask[:, None, None, :]
+    mask |= np.eye(s, dtype=bool)
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores *= scale
+    p = np.where(mask, scores, -np.inf)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)                   # exp(-inf) = 0: masked keys drop out
+    p /= p.sum(axis=-1, keepdims=True)
+    o = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b, s, d)
+    out = np.matmul(o, wo.data)
+    out += bo.data
+
+    def bwd(g, acc):
+        g2 = g.reshape(-1, d)
+        acc(wo, o.reshape(-1, d).T @ g2)
+        acc(bo, g2.sum(axis=0))
+        go = np.matmul(g, wo.data.T).reshape(b, s, n_heads, dh)
+        go = go.transpose(0, 2, 1, 3)
+        gs = np.matmul(go, v.swapaxes(-1, -2))         # dP, then dS in place
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gqkv = np.empty((b, s, 3, n_heads, dh))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(gs, k, out=gq)
+        np.matmul(gs.swapaxes(-1, -2), q, out=gk)
+        np.matmul(p.swapaxes(-1, -2), go, out=gv)
+        gqkv = gqkv.reshape(b, s, 3 * d)
+        gqkv2 = gqkv.reshape(-1, 3 * d)
+        gw = np.split(xd.reshape(-1, d).T @ gqkv2, 3, axis=1)
+        gb = np.split(gqkv2.sum(axis=0), 3)
+        for param, grad in zip((wq, wk, wv, bq, bk, bv), gw + gb):
+            acc(param, grad)
+        acc(x, np.matmul(gqkv, w_qkv.T))
+    return _node(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
 
 
 def _unit_lower_solve(a, r):
@@ -392,10 +452,12 @@ def backward(loss):
 
     def acc(node, g):
         key = id(node)
+        # No adjoint writes into its incoming gradient, so the first one a
+        # node receives is kept as it is.
         if key in grads:
             grads[key] = grads[key] + g
         else:
-            grads[key] = np.array(g, dtype=np.float64, copy=True)
+            grads[key] = g
 
     for node in reversed(order):
         g = grads.pop(id(node), None)

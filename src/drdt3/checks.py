@@ -33,12 +33,14 @@ def check_primitives(rng=None, trials=100):
     def sq(t):
         return ad.sum_all(ad.square(t))
 
-    # Row 0 masks one key, row 1 another.
-    key_mask = np.array([[True, False, True, True, True],
-                         [True, True, True, True, False]])
+    # Row 0 pads its first token (a fully padded query) and masks key 2.
+    key_mask = np.array([[False, True, False, True],
+                         [True, True, True, True]])
     for _ in range(trials):
-        a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
-        check("matmul", lambda: sq(ad.matmul(a, b)), [a, b])
+        a, w, b = _rand(rng, 3, 4), _rand(rng, 4, 2), _rand(rng, 2)
+        check("affine", lambda: sq(ad.affine(a, w, b)), [a, w, b])
+        a3 = _rand(rng, 2, 3, 4)
+        check("affine", lambda: sq(ad.affine(a3, w, b)), [a3, w, b])
         x, y = _rand(rng, 2, 5), _rand(rng, 2, 5)
         check("add", lambda: sq(x + y), [x, y])
         check("sub", lambda: sq(x - y), [x, y])
@@ -47,8 +49,6 @@ def check_primitives(rng=None, trials=100):
         g, bias = _rand(rng, 5), _rand(rng, 5)
         check("layer_norm", lambda: sq(ad.layer_norm(x, g, bias)),
               [x, g, bias])
-        check("masked_softmax", lambda: sq(ad.masked_softmax(x, key_mask)),
-              [x])
         check("gelu", lambda: ad.sum_all(ad.gelu(x)), [x])
         check("absval", lambda: ad.sum_all(ad.absval(ad.square(x) + 0.5)),
               [x])
@@ -56,8 +56,6 @@ def check_primitives(rng=None, trials=100):
         check("sum_all", lambda: ad.square(ad.sum_all(x)), [x])
         check("reshape", lambda: sq(ad.reshape(x, (5, 2))), [x])
         check("concat", lambda: sq(ad.concat([x, y], axis=-1)), [x, y])
-        check("transpose", lambda: sq(ad.matmul(x, ad.transpose(y))),
-              [x, y])
         check("take_slice", lambda: sq(x[:, 1:4]), [x])
         # An integer-array key with a repeated row, as in a table lookup.
         table = _rand(rng, 6, 3)
@@ -72,6 +70,13 @@ def check_primitives(rng=None, trials=100):
         c = rng.uniform(0.5, 2.0) * mask
         check("ttt_linear", lambda: sq(ad.ttt_linear(seq, *ttt, c)),
               [seq] + ttt)
+        # Two heads over two sequences of 4 tokens, d = 4.
+        tokens = _rand(rng, 2, 4, 4, bound=1.0)
+        attn = [_rand(rng, *shape, bound=1.0)
+                for _ in range(4) for shape in ((4, 4), (4,))]
+        check("causal_attention",
+              lambda: sq(ad.causal_attention(tokens, *attn, key_mask, 2)),
+              [tokens] + attn)
     return [(f"primitive.{name}", worst[name], 1e-4) for name in sorted(worst)]
 
 

@@ -91,6 +91,14 @@ class TrainConfig:
             raise ConfigError("eval_episodes must be >= 0")
         if self.rtg_scale <= 0:
             raise ConfigError("rtg_scale must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
+        if self.inner_lr < 0:
+            raise ConfigError("inner_lr must be >= 0")
+        if self.grad_clip < 0:
+            raise ConfigError("grad_clip must be >= 0")
         return self
 
 

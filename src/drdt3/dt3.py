@@ -5,13 +5,16 @@ attention + fast-weight block, and reads coarse action predictions off the
 state-token positions. The fast-weight sub-layer updates its hidden matrix W
 by one gradient step per real token (the delta rule), evaluated in parallel
 form by the single recorded primitive `autodiff.ttt_linear`; outer-loop
-gradients flow through the inner update.
+gradients flow through the inner update. Attention is one recorded
+primitive too, `autodiff.causal_attention`, and every `Linear` records one
+`autodiff.affine`.
 
-The context layout is defined once, by `ContextBatch.set_row`, which fills
-both training batches and the rollout's context: a zero-padded prefix, then
-the newest n <= K steps, with returns-to-go divided by the dataset's largest
-absolute return, standardized states, consecutive timesteps, and the newest
-action zeroed.
+The context layout is defined by `ContextBatch.set_row`, which fills the
+rollout's context: a zero-padded prefix, then the newest n <= K steps, with
+returns-to-go divided by the dataset's largest absolute return,
+standardized states, consecutive timesteps, and the newest action zeroed.
+`training.sample_context_batch` fills a training batch in the same layout
+with one gather over all rows; a test keeps the two bitwise equal.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class Linear:
         )
 
     def __call__(self, x):
-        return ad.matmul(x, self.w) + self.b
+        return ad.affine(x, self.w, self.b)
 
     def named(self, prefix):
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
@@ -232,28 +235,14 @@ def causal_attention(x, block, token_mask):
 
     Masked keys get exactly zero weight, so outputs at earlier positions are
     bitwise independent of later tokens. Fully padded queries attend to
-    themselves only (their outputs are never read).
+    themselves only (their outputs are never read). The attention itself,
+    output projection included, is one recorded primitive,
+    `autodiff.causal_attention`.
     """
-    b, s, d = x.shape
-    h = block.n_heads
-    dh = d // h
-
-    def split_heads(t):
-        return ad.transpose(ad.reshape(t, (b, s, h, dh)), (0, 2, 1, 3))
-
-    q = split_heads(block.wq(x))
-    kk = split_heads(block.wk(x))
-    v = split_heads(block.wv(x))
-    scores = ad.scale(ad.matmul(q, ad.transpose(kk)), 1.0 / np.sqrt(dh))
-
-    causal = np.tril(np.ones((s, s), dtype=bool))
-    mask = causal[None, None] & token_mask[:, None, None, :]
-    idx = np.arange(s)
-    mask[:, :, idx, idx] = True
-    attn = ad.masked_softmax(scores, mask)
-
-    out = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
-    return ad.layer_norm(x + block.wo(out), block.ln1_g, block.ln1_b)
+    attn = ad.causal_attention(x, block.wq.w, block.wq.b, block.wk.w,
+                               block.wk.b, block.wv.w, block.wv.b, block.wo.w,
+                               block.wo.b, token_mask, block.n_heads)
+    return ad.layer_norm(x + attn, block.ln1_g, block.ln1_b)
 
 
 def ttt_forward(x, layer, token_mask):
@@ -286,5 +275,5 @@ def forward_hidden(batch, params):
 def predict_coarse_actions_batch(batch, params):
     """Coarse action sequence (B, K, d_a), read at state-token positions."""
     h, _ = forward_hidden(batch, params)
-    state_pos = np.arange(batch.context_len) * TOKENS_PER_STEP + 1
-    return params.head(h[:, state_pos])
+    # A basic slice, whose adjoint assigns where an index array scatters.
+    return params.head(h[:, 1::TOKENS_PER_STEP])

@@ -60,9 +60,11 @@ class Trajectory:
 
 
 class TrajectoryStore:
-    """A dataset's trajectories and the statistics derived from them once,
-    when the store is built: state mean and std, and the largest absolute
-    return."""
+    """A dataset's trajectories and what is derived from them once, when the
+    store is built: state mean and std, the largest absolute return, and
+    every trajectory's steps concatenated into `step_rtgs`, `step_states`
+    and `step_actions`, where trajectory i starts at row `offsets[i]` and
+    has `lengths[i]` rows."""
 
     def __init__(self, env_id, d_s, d_a, trajectories=()):
         self.env_id = env_id
@@ -72,14 +74,23 @@ class TrajectoryStore:
         for t in self.trajectories:
             if t.states.shape[1] != d_s or t.actions.shape[1] != d_a:
                 raise ValueError("trajectory dims do not match store")
+        self.lengths = np.array([t.length for t in self.trajectories],
+                                dtype=np.int64)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
         if not self.trajectories:
+            self.step_rtgs = np.zeros(0)
+            self.step_states = np.zeros((0, d_s))
+            self.step_actions = np.zeros((0, d_a))
             self.state_mean = np.zeros(d_s)
             self.state_std = np.ones(d_s)
             self.max_abs_return = 1.0
             return
-        allstates = np.concatenate([t.states for t in self.trajectories])
-        self.state_mean = allstates.mean(axis=0)
-        self.state_std = np.maximum(allstates.std(axis=0), 1e-6)
+        self.step_rtgs = np.concatenate([t.rtgs for t in self.trajectories])
+        self.step_states = np.concatenate([t.states for t in self.trajectories])
+        self.step_actions = np.concatenate(
+            [t.actions for t in self.trajectories])
+        self.state_mean = self.step_states.mean(axis=0)
+        self.state_std = np.maximum(self.step_states.std(axis=0), 1e-6)
         self.max_abs_return = max(
             1e-8, max(abs(t.ret) for t in self.trajectories)
         )

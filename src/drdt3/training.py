@@ -153,22 +153,37 @@ def clip_grad_norm(params, max_norm):
 
 def sample_context_batch(store, k, batch_size, rng, spec):
     """Subtrajectory batch: trajectory chosen proportional to its length,
-    end index uniform; windows near episode start get a zero-padded prefix."""
-    lengths = np.array([t.length for t in store.trajectories], dtype=np.float64)
-    probs = lengths / lengths.sum()
-    batch = ContextBatch.zeros(batch_size, k, store.d_s, store.d_a)
-    targets = np.zeros((batch_size, k, store.d_a))
+    end index uniform; windows near episode start get a zero-padded prefix.
+
+    The layout is `ContextBatch.set_row`'s, filled for all rows by one
+    gather from the store's concatenated steps. Row j draws its trajectory
+    and then its end index from `rng`, the same draws, in the same order,
+    as `rng.choice(count, p=lengths / lengths.sum())` followed by
+    `rng.integers(length)`.
+    """
+    probs = store.lengths / store.lengths.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    firsts = np.empty(batch_size, dtype=np.int64)   # trajectory's first row
+    ends = np.empty(batch_size, dtype=np.int64)     # window's last step
     for j in range(batch_size):
-        ti = rng.choice(len(store.trajectories), p=probs)
-        traj = store.trajectories[ti]
-        end = int(rng.integers(traj.length))          # inclusive end index
-        start = max(0, end - k + 1)
-        steps = slice(start, end + 1)
-        batch.set_row(j, start, traj.rtgs[steps], traj.states[steps],
-                      traj.actions[steps], store.max_abs_return,
-                      store.state_mean, store.state_std)
-        targets[j, batch.pad_mask[j]] = traj.actions[steps]
-    return batch, targets
+        ti = cdf.searchsorted(rng.random(), side="right")
+        firsts[j] = store.offsets[ti]
+        ends[j] = rng.integers(store.lengths[ti])
+    timesteps = ends[:, None] + np.arange(1 - k, 1)    # (B, K); < 0 is padding
+    pad = timesteps < 0
+    timesteps[pad] = 0
+    rows = firsts[:, None] + timesteps
+
+    rtgs = store.step_rtgs[rows] / store.max_abs_return
+    states = (store.step_states[rows] - store.state_mean) / store.state_std
+    targets = store.step_actions[rows]
+    rtgs[pad] = 0.0
+    states[pad] = 0.0
+    targets[pad] = 0.0
+    actions = targets.copy()
+    actions[:, -1] = 0.0
+    return ContextBatch(rtgs, states, actions, timesteps, ~pad), targets
 
 
 # ---------------------------------------------------------------------------

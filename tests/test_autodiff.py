@@ -16,28 +16,31 @@ def rand(rng, *shape):
     return DArray(rng.uniform(-2, 2, size=shape), requires_grad=True)
 
 
-class TestMatmul:
+class TestAffine:
     def test_identity(self):
         m = DArray([[1.0, 2.0], [3.0, 4.0]])
-        eye = DArray(np.eye(2))
-        assert np.array_equal(ad.matmul(eye, m).data, m.data)
+        out = ad.affine(m, DArray(np.eye(2)), DArray(np.zeros(2)))
+        assert np.array_equal(out.data, m.data)
 
     def test_hand_arithmetic(self):
         a = DArray([[1.0, 2.0], [3.0, 4.0]])
-        b = DArray([[1.0], [1.0]])
-        assert np.array_equal(ad.matmul(a, b).data, [[3.0], [7.0]])
+        w = DArray([[1.0], [1.0]])
+        out = ad.affine(a, w, DArray([0.5]))
+        assert np.array_equal(out.data, [[3.5], [7.5]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 3))))
+            ad.affine(DArray(np.zeros((2, 3))), DArray(np.zeros((2, 3))),
+                      DArray(np.zeros(3)))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(0)
-        a, b = rand(rng, 3, 4), rand(rng, 4, 2)
-        err = ad.check_gradients(
-            lambda: ad.sum_all(ad.square(ad.matmul(a, b))), [a, b]
-        )
-        assert err < 1e-4
+        for lead in ((3,), (2, 3)):
+            x, w, b = rand(rng, *lead, 4), rand(rng, 4, 2), rand(rng, 2)
+            err = ad.check_gradients(
+                lambda: ad.sum_all(ad.square(ad.affine(x, w, b))), [x, w, b]
+            )
+            assert err < 1e-4
 
 
 class TestLayerNorm:
@@ -66,39 +69,54 @@ class TestLayerNorm:
         assert err < 1e-4
 
 
-def softmax(logits):
-    """masked_softmax with every key visible."""
-    x = DArray(logits)
-    return ad.masked_softmax(x, np.ones(x.shape, dtype=bool))
+def softmax(logits, mask=None):
+    """Attention weights of `causal_attention` over one row of logits.
+
+    The tokens are one-hot (d = s) and W_k, W_v and W_o are identities, so
+    the last query's output is its row of weights, and every row of W_q is
+    the logits row times sqrt(d), undoing the 1/sqrt(d) scale.
+    """
+    row = np.asarray(logits, dtype=np.float64).reshape(-1)
+    s = row.size
+    mask = np.ones((1, s), bool) if mask is None else np.asarray(mask)
+    eye, zero = DArray(np.eye(s)), DArray(np.zeros(s))
+    wq = DArray(np.tile(row * np.sqrt(s), (s, 1)))
+    out = ad.causal_attention(DArray(np.eye(s)[None]), wq, zero, eye, zero,
+                              eye, zero, eye, zero, mask, 1)
+    return out.data[0, -1]
 
 
 class TestSoftmax:
     def test_single_element_row(self):
-        out = softmax([[4.2]])
-        assert out.data[0, 0] == 1.0
+        assert softmax([4.2])[0] == 1.0
 
     def test_symmetry(self):
-        out = softmax([[0.0, 0.0]])
-        assert np.allclose(out.data, [[0.5, 0.5]])
+        assert np.allclose(softmax([0.0, 0.0]), [0.5, 0.5])
 
     def test_large_logits_no_overflow(self):
-        out = softmax([[1000.0, 0.0]])
-        assert np.all(np.isfinite(out.data))
+        out = softmax([0.0, 1000.0])
+        assert np.all(np.isfinite(out))
         # shifted-exponent oracle
-        expect = np.array([1.0, np.exp(-1000.0)])
+        expect = np.array([np.exp(-1000.0), 1.0])
         expect /= expect.sum()
-        assert np.allclose(out.data[0], expect)
+        assert np.allclose(out, expect)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_rows_sum_to_one(self, row):
-        out = softmax([row])
-        assert abs(out.data.sum() - 1.0) < 1e-12
+        assert abs(softmax(row).sum() - 1.0) < 1e-12
 
     def test_masked_softmax_exact_zero(self):
-        x = DArray([[1.0, 2.0, 3.0]])
-        out = ad.masked_softmax(x, np.array([[True, False, True]]))
-        assert out.data[0, 1] == 0.0
-        assert abs(out.data.sum() - 1.0) < 1e-12
+        out = softmax([1.0, 2.0, 3.0], mask=[[True, False, True]])
+        assert out[1] == 0.0
+        assert abs(out.sum() - 1.0) < 1e-12
+
+    def test_future_keys_exact_zero(self):
+        s = 4
+        eye, zero = DArray(np.eye(s)), DArray(np.zeros(s))
+        out = ad.causal_attention(DArray(np.eye(s)[None]), eye, zero, eye,
+                                  zero, eye, zero, eye, zero,
+                                  np.ones((1, s), bool), 1).data[0]
+        assert np.all(out[np.triu_indices(s, 1)] == 0.0)
 
 
 class TestGelu:
@@ -200,7 +218,7 @@ class TestNoGrad:
         x = DArray([1.0], requires_grad=True)
         with pytest.raises(ad.ShapeError):
             with ad.no_grad():
-                ad.matmul(x, DArray(np.zeros((2, 2))))
+                ad.affine(x, DArray(np.zeros((2, 2))), DArray(np.zeros(2)))
         assert ad.square(x)._parents
 
     def test_check_gradients_records_only_the_first_call(self):

@@ -106,7 +106,11 @@ class TestTrain:
             ("mlp_expansion = -1", "mlp_expansion"),
             ("time_embed_dim = 0", "time_embed_dim"),
             ("time_embed_dim = 1", "time_embed_dim"),
-            ("time_embed_dim = 3", "time_embed_dim"))]
+            ("time_embed_dim = 3", "time_embed_dim"),
+            ("seed = -1", "seed"),
+            ("weight_decay = -5", "weight_decay"),
+            ("inner_lr = -3", "inner_lr"),
+            ("grad_clip = -0.25", "grad_clip"))]
         # Alone: after the `embed_dim = 8` line it would be a repeated key.
         cases.append(("embed_dim = 0", "embed_dim"))
         for text, named in cases:

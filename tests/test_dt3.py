@@ -5,7 +5,7 @@ from drdt3 import autodiff as ad
 from drdt3.autodiff import DArray
 from drdt3.config import TrainConfig
 from drdt3.diffusion import NoiseApproximatorParams, predict_noise
-from drdt3.dt3 import (AttentionTTTBlock, ContextBatch, DT3Params,
+from drdt3.dt3 import (AttentionTTTBlock, ContextBatch, DT3Params, Linear,
                        TTTLinearLayer, TimestepRangeError, causal_attention,
                        embed_context, predict_coarse_actions_batch,
                        ttt_forward)
@@ -159,6 +159,132 @@ class TestCausalAttention:
                 DArray(x.data[:, j:j + 1]), block, np.ones((1, 1), bool)
             ).data
             assert np.allclose(out[0, j], solo[0, 0], atol=1e-12)
+
+
+# The composed attention the model recorded before `autodiff.causal_attention`
+# and `autodiff.affine` fused it: three test-only primitives with their
+# original adjoints, and the 23-node graph built from them.
+
+def _matmul(a, b):
+    def bwd(g, acc):
+        acc(a, ad._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                               a.shape))
+        acc(b, ad._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                               b.shape))
+    return ad._node(np.matmul(a.data, b.data), (a, b), bwd)
+
+
+def _transpose(a, axes=None):
+    if axes is None:
+        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
+
+    def bwd(g, acc):
+        acc(a, np.transpose(g, np.argsort(axes)))
+    return ad._node(np.transpose(a.data, axes), (a,), bwd)
+
+
+def _masked_softmax(a, mask):
+    mask = np.broadcast_to(mask, a.data.shape)
+    logits = np.where(mask, a.data, -np.inf)
+    e = np.where(mask, np.exp(logits - logits.max(axis=-1, keepdims=True)),
+                 0.0)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g, acc):
+        acc(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
+    return ad._node(s, (a,), bwd)
+
+
+def _composed_linear(x, lin):
+    return _matmul(x, lin.w) + lin.b
+
+
+def _composed_attention(x, block, token_mask):
+    b, s, d = x.shape
+    h = block.n_heads
+    dh = d // h
+
+    def split_heads(t):
+        return _transpose(ad.reshape(t, (b, s, h, dh)), (0, 2, 1, 3))
+
+    q = split_heads(_composed_linear(x, block.wq))
+    kk = split_heads(_composed_linear(x, block.wk))
+    v = split_heads(_composed_linear(x, block.wv))
+    scores = ad.scale(_matmul(q, _transpose(kk)), 1.0 / np.sqrt(dh))
+    mask = np.tril(np.ones((s, s), bool))[None, None] \
+        & token_mask[:, None, None, :]
+    idx = np.arange(s)
+    mask[:, :, idx, idx] = True
+    out = ad.reshape(_transpose(_matmul(_masked_softmax(scores, mask), v),
+                                (0, 2, 1, 3)), (b, s, d))
+    return ad.layer_norm(x + _composed_linear(out, block.wo), block.ln1_g,
+                         block.ln1_b)
+
+
+def _outputs_and_grads(f, inputs, cotangent):
+    """f's output and the gradients of <f, cotangent> for every input."""
+    ad.zero_grads(inputs)
+    out = f()
+    ad.backward(ad.sum_all(ad.mul(out, DArray(cotangent))))
+    return [out.data] + [p.grad.copy() for p in inputs]
+
+
+def _assert_close(got, want, rel=1e-12):
+    """Each array within `rel` of its own largest entry. An array below 1e-3
+    of the largest entry over all of them is compared at that floor: the key
+    bias's gradient is zero analytically (each softmax row absorbs the
+    shift), so both paths give only rounding noise there."""
+    floor = 1e-3 * max(np.abs(w).max() for w in want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= rel * max(np.abs(w).max(), floor)
+
+
+class TestFusedEqualsComposed:
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention(self, n_heads, seed):
+        rng = np.random.default_rng(seed)
+        b, s, d = 3, 7, 8
+        block = AttentionTTTBlock.init(rng, d, n_heads, 0.5)
+        params = [p for name, p in block.named("blk")
+                  if not name.startswith(("blk.ttt", "blk.ln2"))]
+        for p in params:
+            p.data = p.data + rng.normal(0.0, 0.3, p.shape)
+        x = DArray(rng.uniform(-1, 1, (b, s, d)), requires_grad=True)
+        mask = np.ones((b, s), bool)
+        mask[0, :3] = False       # a padded prefix: fully padded queries
+        mask[1, 4] = False        # a masked key inside the window
+        inputs = [x] + params
+        cot = rng.standard_normal((b, s, d))
+        fused = _outputs_and_grads(
+            lambda: causal_attention(x, block, mask), inputs, cot)
+        composed = _outputs_and_grads(
+            lambda: _composed_attention(x, block, mask), inputs, cot)
+        _assert_close(fused, composed)
+
+    @pytest.mark.parametrize("lead", [(5,), (3, 4)])
+    def test_affine(self, lead):
+        rng = np.random.default_rng(len(lead))
+        lin = Linear.init(rng, 6, 4, std=1.0)
+        lin.b.data = rng.normal(size=4)
+        x = DArray(rng.uniform(-1, 1, lead + (6,)), requires_grad=True)
+        inputs = [x, lin.w, lin.b]
+        cot = rng.standard_normal(lead + (4,))
+        fused = _outputs_and_grads(lambda: lin(x), inputs, cot)
+        composed = _outputs_and_grads(lambda: _composed_linear(x, lin),
+                                      inputs, cot)
+        assert fused[0].tobytes() == composed[0].tobytes()
+        _assert_close(fused, composed)
+
+    def test_attention_records_one_node(self):
+        rng = np.random.default_rng(3)
+        block = AttentionTTTBlock.init(rng, 8, 2, 0.5)
+        x = DArray(rng.uniform(-1, 1, (2, 5, 8)), requires_grad=True)
+        mask = np.ones((2, 5), bool)
+        # the fused primitive, the residual add and the layer norm
+        assert _count_nodes(causal_attention(x, block, mask)) == 3
+        assert _count_nodes(_composed_attention(x, block, mask)) == 23
 
 
 class TestTTTForward:

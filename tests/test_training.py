@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drdt3 import autodiff as ad
+from drdt3 import checks
 from drdt3.autodiff import DArray
 from drdt3.bundle import fresh_bundle
 from drdt3.config import TrainConfig
 from drdt3.diffusion import diffusion_loss, vp_schedule
-from drdt3.dt3 import predict_coarse_actions_batch
+from drdt3.dt3 import ContextBatch, predict_coarse_actions_batch
 from drdt3.envs import generate_dataset, make_env_spec
 from drdt3.training import (AdamW, TrainingAborted, clip_grad_norm, dt3_loss,
                             sample_context_batch, train, unified_loss)
@@ -200,6 +201,102 @@ class TestSampleContextBatch:
             assert np.all(np.diff(real) == 1)
 
 
+def _per_row_sampler(store, k, batch_size, rng):
+    """The batch sampler as a per-row loop over `ContextBatch.set_row`."""
+    lengths = np.array([t.length for t in store.trajectories], dtype=np.float64)
+    probs = lengths / lengths.sum()
+    batch = ContextBatch.zeros(batch_size, k, store.d_s, store.d_a)
+    targets = np.zeros((batch_size, k, store.d_a))
+    for j in range(batch_size):
+        traj = store.trajectories[rng.choice(len(store.trajectories), p=probs)]
+        end = int(rng.integers(traj.length))
+        start = max(0, end - k + 1)
+        steps = slice(start, end + 1)
+        batch.set_row(j, start, traj.rtgs[steps], traj.states[steps],
+                      traj.actions[steps], store.max_abs_return,
+                      store.state_mean, store.state_std)
+        targets[j, batch.pad_mask[j]] = traj.actions[steps]
+    return batch, targets
+
+
+@pytest.mark.parametrize("env_id, tier", [("stitchchain", "stitch"),
+                                          ("pointreach", "medium"),
+                                          ("pointreach", "medium-replay")])
+@pytest.mark.parametrize("seed", range(3))
+def test_sampler_bitwise_equals_per_row_loop(env_id, tier, seed):
+    store = generate_dataset(env_id, tier, 7, seed=seed)
+    spec = make_env_spec(env_id)
+    # K = 60 is longer than every episode, so every window is padded.
+    for k in (1, 6, 60):
+        rng_new = np.random.default_rng((seed, k))
+        rng_old = np.random.default_rng((seed, k))
+        for _ in range(3):       # consecutive batches share one stream
+            batch, targets = sample_context_batch(store, k, 33, rng_new, spec)
+            old, old_targets = _per_row_sampler(store, k, 33, rng_old)
+            for name in ("rtgs", "states", "actions", "timesteps",
+                         "pad_mask"):
+                got, want = getattr(batch, name), getattr(old, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+            assert targets.tobytes() == old_targets.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def _unified_loss_graph(store, cfg, seed):
+    """A fresh bundle and the recorded unified loss of one sampled batch."""
+    spec = make_env_spec(store.env_id)
+    rng = np.random.default_rng(seed)
+    bundle = fresh_bundle(cfg, store)
+    sched = vp_schedule(cfg.n_diffusion_steps, cfg.beta_min, cfg.beta_max)
+    batch, targets = sample_context_batch(store, cfg.context_len,
+                                          cfg.batch_size, rng, spec)
+    pred = predict_coarse_actions_batch(batch, bundle.dt3)
+    l_dt3 = dt3_loss(pred, targets, batch.pad_mask, spec.a_max)
+    cond = ad.reshape(pred[:, cfg.context_len - 1, :],
+                      (cfg.batch_size, store.d_a))
+    i = rng.integers(1, cfg.n_diffusion_steps + 1, size=cfg.batch_size)
+    eps = rng.standard_normal((cfg.batch_size, store.d_a))
+    l_diff = diffusion_loss(targets[:, -1, :], cond, i, eps, bundle.noise,
+                            sched)
+    return bundle, unified_loss(l_diff, l_dt3, cfg.zeta)
+
+
+def test_no_adjoint_writes_into_its_incoming_gradient(store):
+    """`backward` keeps the first gradient a node receives without a copy,
+    which is safe only while no adjoint writes into its `g`. Here every
+    adjoint of a full unified-loss graph gets a read-only `g`, so one that
+    writes raises; the gradients must equal an unguarded run's, bitwise."""
+    cfg = tiny_config(n_heads=2, embed_dim=8)
+    ran = set()
+
+    def read_only(bwd):
+        def guarded(g, acc):
+            ran.add(bwd.__qualname__.split(".")[0])
+            g = np.array(g)
+            g.setflags(write=False)
+            bwd(g, acc)
+        return guarded
+
+    grads = []
+    for guard in (False, True):
+        bundle, loss = _unified_loss_graph(store, cfg, seed=4)
+        seen, stack = set(), [loss]
+        while guard and stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if node._backward is not None:
+                    node._backward = read_only(node._backward)
+                stack.extend(node._parents)
+        ad.zero_grads(bundle.parameters())
+        ad.backward(loss)
+        grads.append([p.grad.tobytes() for p in bundle.parameters()])
+    assert grads[0] == grads[1]
+    # Every recorded primitive of the engine took part.
+    assert ran == {name.removeprefix("primitive.")
+                   for name, _, _ in checks.check_primitives(trials=1)}
+
+
 # ---------------------------------------------------------------------------
 # train()
 # ---------------------------------------------------------------------------
@@ -232,24 +329,8 @@ class TestTrain:
         assert log1.updates != log2.updates
 
     def test_both_param_groups_get_grads_at_update_one(self, store):
-        cfg = tiny_config()
-        spec = make_env_spec(store.env_id)
-        rng = np.random.default_rng(0)
-        bundle = fresh_bundle(cfg, store)
-        sched = vp_schedule(cfg.n_diffusion_steps, cfg.beta_min, cfg.beta_max)
-        batch, targets = sample_context_batch(store, cfg.context_len,
-                                              cfg.batch_size, rng, spec)
-        pred = predict_coarse_actions_batch(batch, bundle.dt3)
-        l_dt3 = dt3_loss(pred, targets, batch.pad_mask, spec.a_max)
-        cond = ad.reshape(pred[:, cfg.context_len - 1, :],
-                          (cfg.batch_size, store.d_a))
-        i = rng.integers(1, cfg.n_diffusion_steps + 1, size=cfg.batch_size)
-        eps = rng.standard_normal((cfg.batch_size, store.d_a))
-        l_diff = diffusion_loss(targets[:, -1, :], cond, i, eps,
-                                bundle.noise, sched)
-        loss = unified_loss(l_diff, l_dt3, cfg.zeta)
-        params = bundle.parameters()
-        ad.zero_grads(params)
+        bundle, loss = _unified_loss_graph(store, tiny_config(), seed=0)
+        ad.zero_grads(bundle.parameters())
         ad.backward(loss)
         norms = {n: np.linalg.norm(p.grad)
                  for n, p in bundle.named_params()}
