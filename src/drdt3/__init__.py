@@ -3,7 +3,7 @@
 from .autodiff import DArray, backward, check_gradients
 from .config import TrainConfig
 from .diffusion import (DiffusionSchedule, NoiseApproximatorParams,
-                        denoise_step, diffusion_loss, forward_noise,
+                        condition, denoise_step, diffusion_loss, forward_noise,
                         predict_noise, sample_action, vp_schedule)
 from .dt3 import (AttentionTTTBlock, ContextBatch, DT3Params, TTTLinearLayer,
                   predict_coarse_actions_batch, ttt_forward)
@@ -16,7 +16,8 @@ __all__ = [
     "DArray", "backward", "check_gradients",
     "TrainConfig",
     "DiffusionSchedule", "NoiseApproximatorParams", "vp_schedule",
-    "forward_noise", "predict_noise", "denoise_step", "sample_action",
+    "forward_noise", "condition", "predict_noise", "denoise_step",
+    "sample_action",
     "diffusion_loss",
     "ContextBatch", "TTTLinearLayer", "AttentionTTTBlock", "DT3Params",
     "ttt_forward", "predict_coarse_actions_batch",

@@ -13,6 +13,7 @@ builds no graph.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 from scipy.special import erf
@@ -186,10 +187,8 @@ def reshape(a, shape):
 
 
 def concat(arrays, axis=-1):
-    sizes = [x.data.shape[axis] for x in arrays]
-    offsets = np.cumsum(sizes)[:-1]
-
     def bwd(g, acc):
+        offsets = np.cumsum([x.data.shape[axis] for x in arrays])[:-1]
         for x, piece in zip(arrays, np.split(g, offsets, axis=axis)):
             acc(x, piece)
     return _node(
@@ -214,11 +213,9 @@ def take_slice(a, key):
     index array, so an index that occurs more than once accumulates its
     gradient.
     """
-    basic = _is_basic_key(key)
-
     def bwd(g, acc):
         buf = np.zeros_like(a.data)
-        if basic:
+        if _is_basic_key(key):
             buf[key] = g
         else:
             np.add.at(buf, key, g)
@@ -248,9 +245,9 @@ def square(a):
 def gelu(a):
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     phi_cdf = 0.5 * (1.0 + erf(a.data / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
 
     def bwd(g, acc):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
         acc(a, g * (phi_cdf + a.data * pdf))
     return _node(a.data * phi_cdf, (a,), bwd)
 
@@ -315,8 +312,9 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
     # q, k, v: (B, heads, s, d_h) views of the (B, s, 3, heads, d_h) product.
     q, k, v = qkv.reshape(b, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     scale = float(1.0 / np.sqrt(dh))
-    mask = np.tril(np.ones((s, s), dtype=bool)) & key_mask[:, None, None, :]
-    mask |= np.eye(s, dtype=bool)
+    lower, _, diag = _tri_masks(s)
+    mask = lower & key_mask[:, None, None, :]
+    mask |= diag
     scores = np.matmul(q, k.swapaxes(-1, -2))
     scores *= scale
     p = np.where(mask, scores, -np.inf)
@@ -350,6 +348,17 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
             acc(param, grad)
         acc(x, np.matmul(gqkv, w_qkv.T))
     return _node(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
+
+
+@functools.lru_cache(maxsize=64)
+def _tri_masks(s):
+    """Read-only boolean (s, s) masks (on or below the diagonal, strictly
+    below it, on it), built once per sequence length."""
+    masks = (np.tri(s, dtype=bool), np.tri(s, k=-1, dtype=bool),
+             np.eye(s, dtype=bool))
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 def _unit_lower_solve(a, r):
@@ -392,8 +401,10 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c):
     k, v = np.split(xd @ np.concatenate([theta_k.data, theta_v.data]).T, 2,
                     axis=-1)
     kt = np.swapaxes(k, 1, 2)
-    a = np.tril(np.matmul(k, kt) * c, -1)
-    m = np.tril(np.matmul(q, kt) * c)
+    lower, strict, _ = _tri_masks(s)
+    # np.where with a cached mask is np.tril's own arithmetic.
+    a = np.where(strict, np.matmul(k, kt) * c, 0.0)
+    m = np.where(lower, np.matmul(q, kt) * c, 0.0)
     e = _unit_lower_solve(a, np.matmul(k, w.T) - v)
     out = np.matmul(w, q[..., None])[..., 0] - np.matmul(m, e)
 
@@ -401,9 +412,9 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c):
         # gm = -c dL/dM, gr = -dL/dR and ga = c dL/dA: the signs and the
         # steps c are folded in where they cost nothing.
         et = np.swapaxes(e, 1, 2)
-        gm = np.tril(np.matmul(g, et)) * c
+        gm = np.where(lower, np.matmul(g, et), 0.0) * c
         gr = _unit_upper_solve(a, np.matmul(np.swapaxes(m, 1, 2), g))
-        ga = np.tril(np.matmul(gr, et), -1) * c
+        ga = np.where(strict, np.matmul(gr, et), 0.0) * c
         gq = np.matmul(g, w) - np.matmul(gm, k)
         gk = (np.matmul(ga + np.swapaxes(ga, 1, 2), k) - np.matmul(gr, w)
               - np.matmul(np.swapaxes(gm, 1, 2), q))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 from .diffusion import VARIANTS
@@ -50,6 +51,10 @@ class TrainConfig:
     rtg_scale: float = 1.0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _field_type(f) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.context_len < 1:
             raise ConfigError("context_len must be >= 1")
         if self.zeta < 0:

@@ -3,7 +3,9 @@
 A variance-preserving schedule drives an N-step chain that refines Gaussian
 noise into an action, conditioned on the coarse action prediction from the
 sequence model. The noise approximator is a gated MLP with adaptive layer
-norm conditioning; ablation variants share the same call signature.
+norm conditioning; ablation variants share the same call signature. It is
+split in two: `condition` computes what depends only on (step, coarse
+action), and `predict_noise` runs the a_i stream on those rows.
 
 The reverse step adds noise scaled by beta_i, following the source method's
 stated update.
@@ -138,28 +140,40 @@ def sinusoidal_embedding(i, dim):
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
-def predict_noise(a_i, cond_action, i, params):
-    """Epsilon prediction for a batch: a_i (B,d_a), cond_action (B,d_a), i (B,).
+def condition(cond_action, i, params):
+    """The part of the epsilon model that does not see a_i, for a batch:
+    cond_action (B,d_a) and steps i (B,).
 
-    Accepts DArray or ndarray inputs; returns a DArray (B, d_a). Callers
-    range-check the steps `i` against their schedule.
+    Returns a tuple of (B, d_h) DArrays: the adaLN modulation
+    (gamma, shift, gate) for the adaLN variants, or (c,) for the others.
+    It depends only on (i, cond_action), so the sampler computes it once per
+    action, one row per reverse step. Callers range-check `i`.
     """
-    a_i = a_i if isinstance(a_i, DArray) else DArray(np.atleast_2d(a_i))
     cond = cond_action if isinstance(cond_action, DArray) \
         else DArray(np.atleast_2d(cond_action))
     temb = DArray(sinusoidal_embedding(i, params.d_c))
-    c = params.cond_proj(ad.concat([temb, cond], axis=-1))
-    c = ad.gelu(c)
+    c = ad.gelu(params.cond_proj(ad.concat([temb, cond], axis=-1)))
+    if not params._uses_adaln():
+        return (c,)
+    mod = params.adaln(c)
+    d = params.d_h
+    return mod[:, :d], mod[:, d:2 * d], mod[:, 2 * d:]
 
+
+def predict_noise(a_i, conditioning, params):
+    """Epsilon prediction for a batch: a_i (B,d_a) and the rows of
+    `condition(cond_action, i, params)` for the same B samples.
+
+    Accepts a DArray or ndarray a_i; returns a DArray (B, d_a).
+    """
+    a_i = a_i if isinstance(a_i, DArray) else DArray(np.atleast_2d(a_i))
     if params._uses_adaln():
+        gamma, shift, gate = conditioning
         h = params.in_proj(a_i)
-        mod = params.adaln(c)
-        gamma = mod[:, :params.d_h]
-        shift = mod[:, params.d_h:2 * params.d_h]
-        gate = mod[:, 2 * params.d_h:]
         normed = ad.layer_norm(h, params.ln_g, params.ln_b)
         stream = normed + ad.mul(normed, gamma) + shift
     else:
+        (c,) = conditioning
         h = params.in_proj(ad.concat([a_i, c], axis=-1))
         stream = ad.layer_norm(h, params.ln_g, params.ln_b)
         gate = None
@@ -182,10 +196,12 @@ def predict_noise(a_i, cond_action, i, params):
 # Reverse process
 # ---------------------------------------------------------------------------
 
-def denoise_step(a_i, cond_action, i, params, sched, noise):
+def denoise_step(a_i, conditioning, i, params, sched, noise):
     """One reverse step, on plain arrays and without recording a graph:
     a_{i-1} = (a_i - (1-alpha_i)/sqrt(1-abar_i) * eps_hat)/sqrt(alpha_i)
-              + beta_i * noise.
+              + beta_i * noise,
+    where `conditioning` holds the rows of `condition(cond_action, i,
+    params)` for the rows of a_i.
     """
     _check_step(i, sched)
     noise = np.asarray(noise, dtype=np.float64)
@@ -196,19 +212,27 @@ def denoise_step(a_i, cond_action, i, params, sched, noise):
     abar = sched.alpha_bar[i - 1]
     beta = sched.beta[i - 1]
     with ad.no_grad():
-        eps_hat = predict_noise(a_i, cond_action,
-                                np.full(a_i.shape[0], i), params).data
+        eps_hat = predict_noise(a_i, conditioning, params).data
     mean = (a_i - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
     return mean + beta * noise, eps_hat
 
 
 def sample_action(cond_action, params, sched, rng, action_bound=None):
-    """Run the full reverse chain from Gaussian noise; returns (d_a,) action."""
+    """Run the full reverse chain from Gaussian noise; returns (d_a,) action.
+
+    The conditioning is computed once, for all N steps in one call: block k
+    of its rows serves step N - k.
+    """
     cond = np.atleast_2d(np.asarray(cond_action, dtype=np.float64))
+    b, n = cond.shape[0], sched.n_steps
+    with ad.no_grad():
+        conditioning = condition(np.tile(cond, (n, 1)),
+                                 np.repeat(np.arange(n, 0, -1), b), params)
     a = rng.standard_normal(cond.shape)
-    for i in range(sched.n_steps, 0, -1):
+    for k, i in enumerate(range(n, 0, -1)):
+        rows = tuple(DArray(x.data[k * b:(k + 1) * b]) for x in conditioning)
         noise = rng.standard_normal(cond.shape) if i > 1 else np.zeros_like(a)
-        a, _ = denoise_step(a, cond, i, params, sched, noise)
+        a, _ = denoise_step(a, rows, i, params, sched, noise)
     if action_bound is not None:
         a = np.clip(a, -action_bound, action_bound)
     return a[0]
@@ -230,7 +254,7 @@ def diffusion_loss(a0, cond, i, eps, params, sched):
     _check_step(i, sched)
     ab = sched.alpha_bar[i - 1][:, None]
     a_i = DArray(np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps)
-    eps_hat = predict_noise(a_i, cond, i, params)
+    eps_hat = predict_noise(a_i, condition(cond, i, params), params)
     sq = ad.square(eps_hat - DArray(eps))
     # Mean over the batch of per-sample squared norms.
     return ad.scale(ad.sum_all(sq), 1.0 / a0.shape[0])

@@ -8,6 +8,7 @@ single dataset episode solves the task from the true start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +117,10 @@ def compute_rtg(rewards):
 
 def initial_rtg(best_return, eta):
     """Target return for an evaluation episode: the best dataset return
-    scaled by eta > 0, multiplied if it is >= 0 and divided if it is < 0,
-    so that eta > 1 always asks for more."""
-    if not eta > 0:
-        raise ValueError(f"rtg scale eta must be > 0, got {eta!r}")
+    scaled by a finite eta > 0, multiplied if it is >= 0 and divided if it
+    is < 0, so that eta > 1 always asks for more."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"rtg scale eta must be finite and > 0, got {eta!r}")
     return eta * best_return if best_return >= 0 else best_return / eta
 
 

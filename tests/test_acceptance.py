@@ -15,8 +15,9 @@ from drdt3.autodiff import DArray
 from drdt3.bundle import fresh_bundle, load_bundle, save_bundle
 from drdt3.checks import run_checks
 from drdt3.config import TrainConfig
-from drdt3.diffusion import (NoiseApproximatorParams, denoise_step,
-                             diffusion_loss, sample_action, vp_schedule)
+from drdt3.diffusion import (NoiseApproximatorParams, condition,
+                             denoise_step, diffusion_loss, sample_action,
+                             vp_schedule)
 from drdt3.dt3 import (ContextBatch, TTTLinearLayer, predict_coarse_actions_batch,
                        ttt_forward)
 from drdt3.envs import generate_dataset
@@ -140,8 +141,8 @@ def test_criterion_3_diffusion_identities():
     a = rng.standard_normal((1, 2))
     a_n = a.copy()
     for i in range(5, 0, -1):
-        a, _ = denoise_step(a, np.zeros((1, 2)), i, zero, sched,
-                            np.zeros((1, 2)))
+        a, _ = denoise_step(a, condition(np.zeros((1, 2)), i, zero), i, zero,
+                            sched, np.zeros((1, 2)))
     tele_ok = np.abs(a - a_n / np.sqrt(sched.alpha_bar[-1])).max() < 1e-10
 
     # (c) schedule invariants across the grid.

@@ -110,7 +110,14 @@ class TestTrain:
             ("seed = -1", "seed"),
             ("weight_decay = -5", "weight_decay"),
             ("inner_lr = -3", "inner_lr"),
-            ("grad_clip = -0.25", "grad_clip"))]
+            ("grad_clip = -0.25", "grad_clip"),
+            ("learning_rate = nan", "learning_rate"),
+            ("zeta = inf", "zeta"),
+            ("inner_lr = inf", "inner_lr"),
+            ("grad_clip = nan", "grad_clip"),
+            ("rtg_scale = inf", "rtg_scale"),
+            ("beta_max = inf", "beta_max"),
+            ("weight_decay = nan", "weight_decay"))]
         # Alone: after the `embed_dim = 8` line it would be a repeated key.
         cases.append(("embed_dim = 0", "embed_dim"))
         for text, named in cases:
@@ -218,7 +225,8 @@ class TestEval:
                          "--mode", mode]) == 0
 
     @pytest.mark.parametrize("flag,value", [("--episodes", "0"),
-                                            ("--eta", "0"), ("--eta", "-1")])
+                                            ("--eta", "0"), ("--eta", "-1"),
+                                            ("--eta", "inf")])
     def test_invalid_argument_exit_one(self, workspace, capsys, flag, value):
         bundle = str(workspace / "run" / "bundle.drdt3")
         rc = main(["eval", "--bundle", bundle, flag, value])

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from drdt3 import autodiff as ad
 from drdt3.autodiff import DArray
-from drdt3.diffusion import (NoiseApproximatorParams, denoise_step,
-                             diffusion_loss, forward_noise, predict_noise,
-                             sample_action, sinusoidal_embedding, vp_schedule)
+from drdt3.diffusion import (VARIANTS, NoiseApproximatorParams, condition,
+                             denoise_step, diffusion_loss, forward_noise,
+                             predict_noise, sample_action,
+                             sinusoidal_embedding, vp_schedule)
 
 
 def zeroed_params(d_a=2, variant="full", seed=0):
@@ -15,6 +16,57 @@ def zeroed_params(d_a=2, variant="full", seed=0):
     for _, arr in p.named():
         arr.data[:] = 0.0
     return p
+
+
+def random_params(d_a, variant, seed):
+    """A noise model whose every parameter is random, the zero-initialized
+    adaLN head included, so that every path carries signal."""
+    rng = np.random.default_rng(seed)
+    p = NoiseApproximatorParams(d_a, 8, 4, 2, variant, rng)
+    for _, arr in p.named():
+        arr.data[...] = rng.normal(0.0, 0.5, arr.shape)
+    return p
+
+
+def per_step_sample(cond_action, params, sched, rng):
+    """Oracle sampler: the reverse chain with the conditioning recomputed at
+    every step, for that step alone."""
+    cond = np.atleast_2d(cond_action)
+    a = rng.standard_normal(cond.shape)
+    for i in range(sched.n_steps, 0, -1):
+        noise = rng.standard_normal(cond.shape) if i > 1 else np.zeros_like(a)
+        with ad.no_grad():
+            rows = condition(cond, np.full(cond.shape[0], i), params)
+        a, _ = denoise_step(a, rows, i, params, sched, noise)
+    return a[0]
+
+
+def inline_predict_noise(a_i, cond, i, params):
+    """Oracle epsilon model: the conditioning computed inline, in one
+    function, as before `condition` was split out."""
+    temb = DArray(sinusoidal_embedding(i, params.d_c))
+    c = params.cond_proj(ad.concat([temb, cond], axis=-1))
+    c = ad.gelu(c)
+    if params._uses_adaln():
+        h = params.in_proj(a_i)
+        mod = params.adaln(c)
+        gamma = mod[:, :params.d_h]
+        shift = mod[:, params.d_h:2 * params.d_h]
+        gate = mod[:, 2 * params.d_h:]
+        normed = ad.layer_norm(h, params.ln_g, params.ln_b)
+        stream = normed + ad.mul(normed, gamma) + shift
+    else:
+        h = params.in_proj(ad.concat([a_i, c], axis=-1))
+        stream = ad.layer_norm(h, params.ln_g, params.ln_b)
+        gate = None
+    if params._gated():
+        mlp = params.down(
+            ad.mul(ad.gelu(params.branch_a(stream)), params.branch_b(stream))
+        )
+    else:
+        mlp = params.down(ad.gelu(params.branch_a(stream)))
+    h = h + ad.mul(gate, mlp) if gate is not None else h + mlp
+    return params.out(h)
 
 
 class TestVPSchedule:
@@ -81,7 +133,8 @@ class TestPredictNoise:
         # adaLN head is zero-initialized, so gate == 0 out of the box
         a = rng.uniform(-1, 1, (3, 2))
         cond = rng.uniform(-1, 1, (3, 2))
-        out = predict_noise(a, cond, np.array([1, 2, 3]), p).data
+        out = predict_noise(a, condition(cond, np.array([1, 2, 3]), p),
+                            p).data
         h = a @ p.in_proj.w.data + p.in_proj.b.data
         expect = h @ p.out.w.data + p.out.b.data
         assert np.allclose(out, expect, atol=1e-12)
@@ -91,9 +144,9 @@ class TestPredictNoise:
     def test_output_shape_all_variants(self, variant):
         rng = np.random.default_rng(2)
         p = NoiseApproximatorParams(3, 8, 4, 2, variant, rng)
-        out = predict_noise(rng.uniform(-1, 1, (4, 3)),
-                            rng.uniform(-1, 1, (4, 3)),
-                            np.array([1, 2, 3, 1]), p)
+        a = rng.uniform(-1, 1, (4, 3))
+        out = predict_noise(a, condition(rng.uniform(-1, 1, (4, 3)),
+                                         np.array([1, 2, 3, 1]), p), p)
         assert out.shape == (4, 3)
 
     def test_golden_vector_bitwise_reproducible(self):
@@ -104,8 +157,8 @@ class TestPredictNoise:
                                                          p.adaln.w.shape)
         a = np.array([[0.3, -0.7]])
         cond = np.array([[0.1, 0.2]])
-        out1 = predict_noise(a, cond, np.array([2]), p).data
-        out2 = predict_noise(a, cond, np.array([2]), p).data
+        out1 = predict_noise(a, condition(cond, np.array([2]), p), p).data
+        out2 = predict_noise(a, condition(cond, np.array([2]), p), p).data
         assert np.array_equal(out1, out2)
 
     def test_variants_differ(self):
@@ -117,9 +170,9 @@ class TestPredictNoise:
             for _, arr in p.named():
                 if np.all(arr.data == 0) and arr.data.ndim == 2:
                     arr.data[:] = 0.05
-            outs.append(predict_noise(np.array([[0.3, -0.7]]),
-                                      np.array([[0.1, 0.2]]),
-                                      np.array([2]), p).data.copy())
+            cond = condition(np.array([[0.1, 0.2]]), np.array([2]), p)
+            outs.append(predict_noise(np.array([[0.3, -0.7]]), cond,
+                                      p).data.copy())
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
                 assert not np.allclose(outs[i], outs[j])
@@ -135,7 +188,8 @@ class TestDenoiseStep:
         # oracle epsilon model that returns the true noise
         p = zeroed_params(d_a=3)
         p.out.b.data = eps  # epsilon_theta == eps for any input
-        out, _ = denoise_step(a1, np.zeros(3), 1, p, s, np.zeros(3))
+        out, _ = denoise_step(a1, condition(np.zeros(3), 1, p), 1, p, s,
+                              np.zeros(3))
         assert np.abs(out[0] - a0).max() < 1e-12
 
     def test_zero_model_full_chain_telescopes(self):
@@ -144,22 +198,26 @@ class TestDenoiseStep:
         a = np.array([[0.4, -1.2]])
         a_n = a.copy()
         for i in range(5, 0, -1):
-            a, _ = denoise_step(a, np.zeros(2), i, p, s, np.zeros(2))
+            a, _ = denoise_step(a, condition(np.zeros(2), i, p), i, p, s,
+                                np.zeros(2))
         assert np.abs(a - a_n / np.sqrt(s.alpha_bar[-1])).max() < 1e-10
 
     def test_zero_noise_is_deterministic(self):
         s = vp_schedule(3)
         p = zeroed_params()
         a = np.array([[1.0, 1.0]])
-        o1, _ = denoise_step(a, np.zeros(2), 2, p, s, np.zeros(2))
-        o2, _ = denoise_step(a, np.zeros(2), 2, p, s, np.zeros(2))
+        o1, _ = denoise_step(a, condition(np.zeros(2), 2, p), 2, p, s,
+                             np.zeros(2))
+        o2, _ = denoise_step(a, condition(np.zeros(2), 2, p), 2, p, s,
+                             np.zeros(2))
         assert np.array_equal(o1, o2)
 
     def test_nonzero_noise_at_step_one_rejected(self):
         s = vp_schedule(3)
         p = zeroed_params()
         with pytest.raises(ValueError, match="i=1"):
-            denoise_step(np.zeros((1, 2)), np.zeros(2), 1, p, s, np.ones(2))
+            denoise_step(np.zeros((1, 2)), condition(np.zeros(2), 1, p), 1,
+                         p, s, np.ones(2))
 
 
 class TestSampleAction:
@@ -180,7 +238,50 @@ class TestSampleAction:
         assert np.array_equal(o1, o2)
 
 
+    @pytest.mark.parametrize("d_a", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_per_step_conditioning(self, variant, d_a):
+        s = vp_schedule(5, 0.1, 10.0)
+        p = random_params(d_a, variant, seed=13)
+        worst = 0.0
+        for seed in range(20):
+            cond = np.random.default_rng(100 + seed).uniform(-1, 1, d_a)
+            got = sample_action(cond, p, s, np.random.default_rng(seed))
+            want = per_step_sample(cond, p, s, np.random.default_rng(seed))
+            worst = max(worst, float(np.max(
+                np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
+        assert worst <= 1e-12
+
+
 class TestDiffusionLoss:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bitwise_equals_inline_conditioning(self, variant):
+        s = vp_schedule(5)
+        p = random_params(2, variant, seed=14)
+        rng = np.random.default_rng(15)
+        a0 = rng.uniform(-1, 1, (6, 2))
+        eps = rng.standard_normal((6, 2))
+        i = np.array([5, 1, 3, 2, 4, 1])  # a different step per row
+        cond = DArray(rng.uniform(-1, 1, (6, 2)), requires_grad=True)
+        leaves = p.parameters() + [cond]
+
+        def inline():
+            ab = s.alpha_bar[i - 1][:, None]
+            a_i = DArray(np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps)
+            sq = ad.square(inline_predict_noise(a_i, cond, i, p) - DArray(eps))
+            return ad.scale(ad.sum_all(sq), 1.0 / 6)
+
+        runs = []
+        for f in (lambda: diffusion_loss(a0, cond, i, eps, p, s), inline):
+            ad.zero_grads(leaves)
+            loss = f()
+            ad.backward(loss)
+            runs.append((loss.data.copy(), [x.grad.copy() for x in leaves]))
+        (loss, grads), (want_loss, want_grads) = runs
+        assert np.array_equal(loss, want_loss)
+        for g, want in zip(grads, want_grads):
+            assert np.array_equal(g, want)
+
     def test_model_matching_constant_noise_gives_zero(self):
         s = vp_schedule(3)
         p = zeroed_params(d_a=2)

@@ -4,7 +4,8 @@ import pytest
 from drdt3 import autodiff as ad
 from drdt3.autodiff import DArray
 from drdt3.config import TrainConfig
-from drdt3.diffusion import NoiseApproximatorParams, predict_noise
+from drdt3.diffusion import (NoiseApproximatorParams, condition,
+                             predict_noise)
 from drdt3.dt3 import (AttentionTTTBlock, ContextBatch, DT3Params, Linear,
                        TTTLinearLayer, TimestepRangeError, causal_attention,
                        embed_context, predict_coarse_actions_batch,
@@ -478,7 +479,8 @@ class TestPredict:
 
         def forward():
             coarse = predict_coarse_actions_batch(batch, params)
-            return coarse, predict_noise(a_i, coarse[:, -1, :], [2], noise)
+            return coarse, predict_noise(
+                a_i, condition(coarse[:, -1, :], [2], noise), noise)
 
         recorded = forward()
         with ad.no_grad():

@@ -48,6 +48,12 @@ class TestInitialRtg:
         with pytest.raises(ValueError, match="eta"):
             initial_rtg(1.0, eta)
 
+    @pytest.mark.parametrize("best", [0.0, 1.0, -1.0])
+    def test_infinite_eta_rejected(self, best):
+        # At best return 0 an infinite eta would give a NaN target.
+        with pytest.raises(ValueError, match="finite"):
+            initial_rtg(best, float("inf"))
+
     @pytest.mark.parametrize("env_id,tier", [("stitchchain", "stitch"),
                                              ("pointreach", "medium")])
     def test_rollout_starts_from_initial_rtg(self, env_id, tier):
@@ -82,11 +88,20 @@ class TestRollout:
                             recording(envs.predict_coarse_actions_batch))
         monkeypatch.setattr(diffusion, "predict_noise",
                             recording(diffusion.predict_noise))
+        monkeypatch.setattr(diffusion, "condition",
+                            recording(diffusion.condition))
         _, traj, _ = rollout(bundle, make_env(env_id), 1.0,
                              np.random.default_rng(0), mode="drdt3")
-        # one coarse prediction and N noise predictions per env-step
-        assert len(outputs) == traj.length * (1 + cfg.n_diffusion_steps)
-        assert all(out._parents == () for out in outputs)
+        # one coarse prediction, one conditioning of all N reverse steps and
+        # N noise predictions per env-step
+        conditionings = [out for out in outputs if isinstance(out, tuple)]
+        assert len(conditionings) == traj.length
+        assert len(outputs) == traj.length * (2 + cfg.n_diffusion_steps)
+        assert all(row.shape[0] == cfg.n_diffusion_steps
+                   for out in conditionings for row in out)
+        arrays = [x for out in outputs
+                  for x in (out if isinstance(out, tuple) else (out,))]
+        assert all(x._parents == () for x in arrays)
 
 
 class TestEnvs:
