@@ -16,6 +16,7 @@ import numpy as np
 from .config import ConfigError, TrainConfig, config_to_dict
 from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
+from .store_io import atomic_write
 
 MAGIC = b"drdt3-bundle/3\n"
 
@@ -87,7 +88,7 @@ def save_bundle(bundle, path):
         "seed": bundle.seed,
         "manifest": [[n, list(params[n].data.shape)] for n in names],
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(_canonical_json(header).encode() + b"\n")
         for n in names:
@@ -124,17 +125,16 @@ def load_bundle(path):
             raise BundleFormatError(
                 f"bad bundle header ({type(e).__name__}: {e})"
             ) from None
-        params = dict(bundle.named_params())
-        for name, shape in manifest:
-            if name not in params:
-                raise BundleFormatError(f"unknown parameter {name!r} in manifest")
-            n_el = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n_el)
-            if len(buf) != 8 * n_el:
+        expected = [[n, list(p.data.shape)] for n, p in bundle.named_params()]
+        if manifest != expected:
+            raise BundleFormatError(
+                "manifest does not list its config's parameters, in order "
+                "and with their shapes")
+        for name, p in bundle.named_params():
+            buf = fh.read(8 * p.data.size)
+            if len(buf) != 8 * p.data.size:
                 raise BundleFormatError(f"truncated block for {name!r}")
-            params[name].data = np.frombuffer(buf, dtype="<f8").reshape(
-                shape
-            ).copy()
+            p.data = np.frombuffer(buf, dtype="<f8").reshape(p.data.shape).copy()
         if fh.read(1):
             raise BundleFormatError("trailing bytes after the last parameter")
     return bundle

@@ -58,8 +58,12 @@ def forward_noise(a0, i, eps, sched):
 
 
 def _check_step(i, sched):
-    i = np.asarray(i)
-    if i.min() < 1 or i.max() > sched.n_steps:
+    if isinstance(i, (int, np.integer)):
+        lo = hi = i
+    else:
+        i = np.asarray(i)
+        lo, hi = i.min(), i.max()
+    if lo < 1 or hi > sched.n_steps:
         raise IndexError(f"diffusion step out of range 1..{sched.n_steps}")
 
 
@@ -218,7 +222,8 @@ def denoise_step(a_i, conditioning, i, params, sched, noise):
 
 
 def sample_action(cond_action, params, sched, rng, action_bound=None):
-    """Run the full reverse chain from Gaussian noise; returns (d_a,) action.
+    """Run the full reverse chain from Gaussian noise: one (d_a,) action
+    for a (d_a,) condition, or (B, d_a) actions for B condition rows.
 
     The conditioning is computed once, for all N steps in one call: block k
     of its rows serves step N - k.
@@ -235,7 +240,7 @@ def sample_action(cond_action, params, sched, rng, action_bound=None):
         a, _ = denoise_step(a, rows, i, params, sched, noise)
     if action_bound is not None:
         a = np.clip(a, -action_bound, action_bound)
-    return a[0]
+    return a if np.ndim(cond_action) == 2 else a[0]
 
 
 def diffusion_loss(a0, cond, i, eps, params, sched):

@@ -139,6 +139,10 @@ class PointReach:
     [-1,1]^2, Euler step dt=0.1, reward -|pos - goal|, horizon 50."""
 
     env_id = "pointreach"
+    d_s, d_a, t_max = 4, 2, 50
+    d_state = 4              # the batched state is the observation
+    reward_kind = "dense"
+    fixed_length = True      # every episode lasts t_max steps
     dt = 0.1
     goal = np.array([1.0, 1.0])
 
@@ -151,22 +155,38 @@ class PointReach:
         self.t = 0
         return self.state.copy()
 
+    @classmethod
+    def dynamics(cls, state, t, action):
+        """One step of E episodes at once: state (E, 4), t the steps each
+        has taken, action an (E, 2) array. Returns the next state, the
+        reward (E,) and done (E,)."""
+        vel = state[:, 2:] + cls.dt * action.clip(-1.0, 1.0)
+        pos = state[:, :2] + cls.dt * vel
+        d = pos - cls.goal
+        # sqrt(vecdot) is np.linalg.norm's arithmetic on one vector;
+        # norm(axis=-1) rounds differently.
+        return (np.concatenate([pos, vel], axis=1), -np.sqrt(np.vecdot(d, d)),
+                np.full(len(state), t + 1 >= cls.t_max))
+
     def step(self, action):
-        a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-        pos, vel = self.state[:2], self.state[2:]
-        vel = vel + self.dt * a
-        pos = pos + self.dt * vel
-        self.state = np.concatenate([pos, vel])
+        state, reward, _ = self.dynamics(
+            self.state[None], self.t, np.asarray(action, dtype=float)[None])
+        self.state = state[0]
         self.t += 1
-        reward = -float(np.linalg.norm(pos - self.goal))
-        return self.state.copy(), reward, self.t >= 50
+        return self.state.copy(), float(reward[0]), self.t >= self.t_max
+
+    @classmethod
+    def expert_actions(cls, states, noise=None):
+        """The expert controller on (E, 4) states, plus optional (E, 2)
+        action noise, clipped to the action box."""
+        a = 4.0 * (cls.goal - states[:, :2]) - 3.0 * states[:, 2:]
+        if noise is not None:
+            a = a + noise
+        return np.clip(a, -1.0, 1.0)
 
     def expert_action(self, state, rng=None, sigma=0.0):
-        pos, vel = state[:2], state[2:]
-        a = 4.0 * (self.goal - pos) - 3.0 * vel
-        if sigma > 0.0:
-            a = a + rng.normal(0.0, sigma, size=2)
-        return np.clip(a, -1.0, 1.0)
+        noise = rng.normal(0.0, sigma, size=(1, 2)) if sigma > 0.0 else None
+        return self.expert_actions(np.asarray(state)[None], noise)[0]
 
 
 class StitchChain:
@@ -174,6 +194,10 @@ class StitchChain:
     paid once upon first reaching pos >= 8, horizon 20, episodes start at 0."""
 
     env_id = "stitchchain"
+    d_s, d_a, t_max = 1, 1, 20
+    d_state = 2              # the observation, then whether the reward is paid
+    reward_kind = "sparse"
+    fixed_length = False
 
     def __init__(self):
         self.pos = 0.0
@@ -186,43 +210,105 @@ class StitchChain:
         self.rewarded = False
         return np.array([self.pos])
 
+    @classmethod
+    def dynamics(cls, state, t, action):
+        """One step of E episodes at once: state (E, 2) holds the position
+        and 1.0 once the reward has been paid, t the steps each episode has
+        taken, action an (E, 1) array. Returns the next state, the reward
+        (E,) and done (E,)."""
+        nxt = state.copy()
+        nxt[:, 0] = (state[:, 0] + action[:, 0].clip(-1.0, 1.0)).clip(0.0, 8.0)
+        # 1.0 at the goal unless already paid
+        reward = (nxt[:, 0] >= 8.0) * (1.0 - state[:, 1])
+        nxt[:, 1] += reward
+        return nxt, reward, (nxt[:, 1] == 1.0) | (t + 1 >= cls.t_max)
+
     def step(self, action):
-        a = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
-        self.pos = float(np.clip(self.pos + a, 0.0, 8.0))
+        state, reward, done = self.dynamics(
+            np.array([[self.pos, float(self.rewarded)]]), self.t,
+            np.asarray(action, dtype=float).reshape(1, -1)[:, :1])
+        self.pos, self.rewarded = float(state[0, 0]), bool(state[0, 1])
         self.t += 1
-        reward = 0.0
-        if self.pos >= 8.0 and not self.rewarded:
-            reward = 1.0
-            self.rewarded = True
-        done = self.rewarded or self.t >= 20
-        return np.array([self.pos]), reward, done
+        return state[0, :1], float(reward[0]), bool(done[0])
+
+    @classmethod
+    def expert_actions(cls, states, noise=None):
+        """Full speed ahead for (E, 1) states, plus optional (E, 1) action
+        noise, clipped to the action box."""
+        a = np.ones((len(states), 1))
+        if noise is not None:
+            a = a + noise
+        return np.clip(a, -1.0, 1.0)
 
     def expert_action(self, state, rng=None, sigma=0.0):
-        a = 1.0
-        if sigma > 0.0:
-            a = a + rng.normal(0.0, sigma)
-        return np.array([np.clip(a, -1.0, 1.0)])
+        noise = rng.normal(0.0, sigma, size=(1, 1)) if sigma > 0.0 else None
+        return self.expert_actions(np.asarray(state).reshape(1, 1), noise)[0]
 
 
 _ENVS = {"pointreach": PointReach, "stitchchain": StitchChain}
 _SPEC_CACHE = {}
 
 
-def make_env(env_id):
+def env_class(env_id):
     try:
-        return _ENVS[env_id]()
+        return _ENVS[env_id]
     except KeyError:
         raise ValueError(f"unknown env {env_id!r}") from None
 
 
-def _run_policy(env, policy, rng, episodes):
-    total = 0.0
-    for _ in range(episodes):
-        state = env.reset()
-        done = False
-        while not done:
-            state, r, done = env.step(policy(state, rng))
-            total += r
+def make_env(env_id):
+    return env_class(env_id)()
+
+
+def run_lockstep(env_cls, policy, n):
+    """Step n episodes from the start state in lockstep with one batched
+    `env_cls.dynamics` call per step; `policy(observations, t)` gives the
+    (n, d_a) actions of step t. An episode that is done takes no further
+    reward. Returns the (n, t_max) rewards and the (n,) episode lengths."""
+    state = np.zeros((n, env_cls.d_state))
+    rewards = np.zeros((n, env_cls.t_max))
+    lengths = np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    for t in range(env_cls.t_max):
+        state, r, done = env_cls.dynamics(
+            state, t, policy(state[:, :env_cls.d_s], t))
+        rewards[:, t] = np.where(alive, r, 0.0)
+        lengths += alive
+        alive &= ~done
+        if not alive.any():
+            break
+    return rewards, lengths
+
+
+def lane_returns(env_cls, policy, noise, episodes):
+    """Mean return of `episodes` back-to-back episodes in each lane.
+
+    Lane l is one random stream: `noise[l]` holds its draws, one row per
+    step (`episodes * t_max` rows, in the order a sequential loop consumes
+    them), and `policy(observations, rows)` acts on them. Where an episode
+    starts in the stream depends on how long the earlier ones lasted, so
+    every episode a lane could start runs at once under `run_lockstep`:
+    one from every t_max-th row for a fixed-length env, else one from
+    every row. Each lane then follows its own chain of episode ends, and
+    its rewards are summed in step order, as `total += r` sums them.
+    """
+    n_lanes, t_max = len(noise), env_cls.t_max
+    stride = t_max if env_cls.fixed_length else 1
+    starts = np.arange(0, (episodes - 1) * t_max + 1, stride)
+    rows = n_lanes * len(starts)
+    rewards, lengths = run_lockstep(
+        env_cls,
+        lambda obs, t: policy(obs, noise[:, starts + t].reshape(
+            rows, noise.shape[2])),
+        rows)
+    rewards = rewards.reshape(n_lanes, len(starts), t_max)
+    lengths = lengths.reshape(n_lanes, len(starts))
+    lane = np.arange(n_lanes)
+    chain = np.zeros((n_lanes, episodes), dtype=np.int64)
+    for k in range(1, episodes):
+        chain[:, k] = chain[:, k - 1] + lengths[lane, chain[:, k - 1]] // stride
+    total = np.cumsum(rewards[lane[:, None], chain].reshape(n_lanes, -1),
+                      axis=1)[:, -1]
     return total / episodes
 
 
@@ -231,21 +317,20 @@ def make_env_spec(env_id):
     controllers over 100 seeded episodes (cached per env)."""
     if env_id in _SPEC_CACHE:
         return _SPEC_CACHE[env_id]
-    env = make_env(env_id)
-    d_a = 2 if env_id == "pointreach" else 1
-    d_s = 4 if env_id == "pointreach" else 1
-    random_score = _run_policy(
-        env, lambda s, r: r.uniform(-1.0, 1.0, size=d_a),
-        np.random.default_rng(0), 100,
-    )
-    expert_score = _run_policy(
-        env, lambda s, r: env.expert_action(s), np.random.default_rng(0), 100
-    )
+    env = env_class(env_id)
+    episodes = 100
+    steps = episodes * env.t_max
+    random_score = lane_returns(
+        env, lambda s, u: u,
+        np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, steps, env.d_a)),
+        episodes)[0]
+    expert_score = lane_returns(
+        env, lambda s, u: env.expert_actions(s), np.zeros((1, steps, 0)),
+        episodes)[0]
     spec = EnvSpec(
-        env_id=env_id, d_s=d_s, d_a=d_a, a_max=1.0,
-        t_max=50 if env_id == "pointreach" else 20,
-        reward_kind="dense" if env_id == "pointreach" else "sparse",
-        random_score=random_score, expert_score=expert_score,
+        env_id=env_id, d_s=env.d_s, d_a=env.d_a, a_max=1.0, t_max=env.t_max,
+        reward_kind=env.reward_kind,
+        random_score=float(random_score), expert_score=float(expert_score),
     ).validate()
     _SPEC_CACHE[env_id] = spec
     return spec
@@ -268,19 +353,24 @@ def _record_episode(env, policy, rng, start=None):
     return Trajectory(np.array(states), np.array(actions), np.array(rewards))
 
 
-def _calibrate_medium_sigma(env_id, rng, target, episodes=40):
-    """Pick the expert-noise sigma whose mean return is closest to target."""
-    best_sigma, best_gap = 0.0, np.inf
-    for sigma in np.linspace(0.0, 30.0, 31):
-        env = make_env(env_id)
-        r = _run_policy(
-            env, lambda s, g: env.expert_action(s, g, sigma),
-            np.random.default_rng(rng.integers(2**32)), episodes,
-        )
-        gap = abs(r - target)
-        if gap < best_gap:
-            best_sigma, best_gap = sigma, gap
-    return best_sigma
+def _sigma_returns(env_id, rng, episodes=40):
+    """Mean return of the noisy expert at each candidate sigma. Each sigma
+    is one lane with its own stream, seeded from `rng` in sigma order; all
+    lanes run in lockstep. At sigma 0 the drawn zeros change no reward."""
+    env = env_class(env_id)
+    sigmas = np.linspace(0.0, 30.0, 31)
+    noise = np.stack([
+        np.random.default_rng(rng.integers(2**32)).normal(
+            0.0, sigma, size=(episodes * env.t_max, env.d_a))
+        for sigma in sigmas])
+    return sigmas, lane_returns(env, env.expert_actions, noise, episodes)
+
+
+def _calibrate_medium_sigma(env_id, rng, target):
+    """Pick the expert-noise sigma whose mean return is closest to target
+    (the first of any tie)."""
+    sigmas, returns = _sigma_returns(env_id, rng)
+    return sigmas[np.argmin(np.abs(returns - target))]
 
 
 def generate_dataset(env_id, tier, n_traj, seed):

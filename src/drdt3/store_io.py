@@ -8,7 +8,9 @@ A JSON-lines text export is provided for interop and debugging.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 import numpy as np
 
@@ -25,8 +27,24 @@ def _canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary file handle for writing `path` whole or not at all: the bytes
+    go to a temp file in the same directory, which replaces `path` only
+    once the block has finished; if it raises, `path` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_store(store, path):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         header = {
             "env_id": store.env_id,

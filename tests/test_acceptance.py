@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the stitching criterion trains two full bundles and takes ~2.5 min
-(137 s on a 2-vCPU VM). `pytest -m "not slow"` leaves it out.
+(137 s on a 2-vCPU VM), and the two-mode sampler criterion takes ~40 s.
+`pytest -m "not slow"` leaves both out.
 """
 
 import time
@@ -163,6 +164,7 @@ def test_criterion_3_diffusion_identities():
 # 4. Generative sanity
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_two_mode_sampler():
     t0 = time.time()
     rng = np.random.default_rng(0)

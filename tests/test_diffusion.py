@@ -38,7 +38,7 @@ def per_step_sample(cond_action, params, sched, rng):
         with ad.no_grad():
             rows = condition(cond, np.full(cond.shape[0], i), params)
         a, _ = denoise_step(a, rows, i, params, sched, noise)
-    return a[0]
+    return a if np.ndim(cond_action) == 2 else a[0]
 
 
 def inline_predict_noise(a_i, cond, i, params):
@@ -124,6 +124,19 @@ class TestForwardNoise:
             forward_noise(np.zeros(1), 6, np.zeros(1), s)
         with pytest.raises(IndexError):
             forward_noise(np.zeros(1), 0, np.zeros(1), s)
+
+    @pytest.mark.parametrize("i", [6, 0, np.int64(6), np.int64(0),
+                                   np.array(6), np.array([1, 6]),
+                                   np.array([0, 5])])
+    def test_out_of_range_for_every_step_type(self, i):
+        s = vp_schedule(5)
+        with pytest.raises(IndexError):
+            forward_noise(np.zeros(1), i, np.zeros(1), s)
+        if np.ndim(i) == 0:
+            p = zeroed_params()
+            with pytest.raises(IndexError):
+                denoise_step(np.zeros((1, 2)), condition(np.zeros(2), 1, p),
+                             i, p, s, np.zeros(2))
 
 
 class TestPredictNoise:
@@ -237,6 +250,18 @@ class TestSampleAction:
         o2 = sample_action(np.zeros(2), p, s, np.random.default_rng(9))
         assert np.array_equal(o1, o2)
 
+
+    def test_condition_rows_give_one_action_each(self):
+        s = vp_schedule(5, 0.1, 10.0)
+        p = random_params(2, "full", seed=13)
+        cond = np.random.default_rng(7).uniform(-1, 1, (3, 2))
+        got = sample_action(cond, p, s, np.random.default_rng(4))
+        want = per_step_sample(cond, p, s, np.random.default_rng(4))
+        assert got.shape == want.shape == (3, 2)
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) \
+            <= 1e-12
+        one = sample_action(cond[0], p, s, np.random.default_rng(4))
+        assert one.shape == (2,)
 
     @pytest.mark.parametrize("d_a", [1, 2])
     @pytest.mark.parametrize("variant", VARIANTS)

@@ -11,6 +11,85 @@ from drdt3.envs import (StitchChain, PointReach, Trajectory, TrajectoryStore,
                         make_env_spec, normalized_score, rollout)
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the one-episode environments and the sequential scorer as they
+# were before the batched dynamics and the lockstep lanes.
+# ---------------------------------------------------------------------------
+
+class SequentialPointReach(PointReach):
+    def step(self, action):
+        a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
+        pos, vel = self.state[:2], self.state[2:]
+        vel = vel + self.dt * a
+        pos = pos + self.dt * vel
+        self.state = np.concatenate([pos, vel])
+        self.t += 1
+        reward = -float(np.linalg.norm(pos - self.goal))
+        return self.state.copy(), reward, self.t >= 50
+
+    def expert_action(self, state, rng=None, sigma=0.0):
+        pos, vel = state[:2], state[2:]
+        a = 4.0 * (self.goal - pos) - 3.0 * vel
+        if sigma > 0.0:
+            a = a + rng.normal(0.0, sigma, size=2)
+        return np.clip(a, -1.0, 1.0)
+
+
+class SequentialStitchChain(StitchChain):
+    def step(self, action):
+        a = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
+        self.pos = float(np.clip(self.pos + a, 0.0, 8.0))
+        self.t += 1
+        reward = 0.0
+        if self.pos >= 8.0 and not self.rewarded:
+            reward = 1.0
+            self.rewarded = True
+        done = self.rewarded or self.t >= 20
+        return np.array([self.pos]), reward, done
+
+    def expert_action(self, state, rng=None, sigma=0.0):
+        a = 1.0
+        if sigma > 0.0:
+            a = a + rng.normal(0.0, sigma)
+        return np.array([np.clip(a, -1.0, 1.0)])
+
+
+SEQUENTIAL = {"pointreach": SequentialPointReach,
+              "stitchchain": SequentialStitchChain}
+
+
+def sequential_run_policy(env, policy, rng, episodes):
+    total = 0.0
+    for _ in range(episodes):
+        state = env.reset()
+        done = False
+        while not done:
+            state, r, done = env.step(policy(state, rng))
+            total += r
+    return total / episodes
+
+
+def sequential_sigma_returns(env_id, rng, episodes=40):
+    returns = []
+    for sigma in np.linspace(0.0, 30.0, 31):
+        env = SEQUENTIAL[env_id]()
+        returns.append(sequential_run_policy(
+            env, lambda s, g: env.expert_action(s, g, sigma),
+            np.random.default_rng(rng.integers(2**32)), episodes,
+        ))
+    return returns
+
+
+def sequential_calibrate(env_id, rng, target):
+    best_sigma, best_gap = 0.0, np.inf
+    for sigma, r in zip(np.linspace(0.0, 30.0, 31),
+                        sequential_sigma_returns(env_id, rng)):
+        gap = abs(r - target)
+        if gap < best_gap:
+            best_sigma, best_gap = sigma, gap
+    return best_sigma
+
+
 class TestComputeRtg:
     def test_suffix_sums(self):
         assert np.array_equal(compute_rtg([1, 2, 3]), [6, 5, 3])
@@ -135,6 +214,108 @@ class TestEnvs:
         _, r1, _ = env.step(np.zeros(2))
         _, r2, _ = env.step(np.zeros(2))
         assert r1 == r2 == -np.linalg.norm(env.goal)
+
+
+class TestBatchedDynamics:
+    def random_batch(self, env_id, rng, n=400):
+        """Start states anywhere in reach, some actions outside the box."""
+        if env_id == "pointreach":
+            states = rng.uniform(-3.0, 3.0, (n, 4))
+        else:
+            states = np.stack([rng.uniform(0.0, 8.0, n),
+                               rng.integers(0, 2, n).astype(float)], axis=1)
+            states[: n // 4, 0] = rng.choice([0.0, 7.0, 7.5, 8.0], n // 4)
+        actions = rng.uniform(-2.5, 2.5, (n, SEQUENTIAL[env_id].d_a))
+        return states, rng.integers(0, 60, n), actions
+
+    @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
+    def test_rows_equal_sequential_step(self, env_id):
+        rng = np.random.default_rng(5)
+        states, t, actions = self.random_batch(env_id, rng)
+        cls = envs.env_class(env_id)
+        got_states, got_r, got_done = cls.dynamics(states, t, actions)
+        assert np.abs(actions).max() > 1.0
+        for e in range(len(states)):
+            env = SEQUENTIAL[env_id]()
+            if env_id == "pointreach":
+                env.reset(states[e])
+            else:
+                env.reset(states[e, 0])
+                env.rewarded = bool(states[e, 1])
+            env.t = int(t[e])
+            s, r, done = env.step(actions[e])
+            assert got_states[e, :cls.d_s].tobytes() == s.tobytes()
+            assert got_r[e] == r and np.signbit(got_r[e]) == np.signbit(r)
+            assert bool(got_done[e]) == done
+            if env_id == "stitchchain":
+                assert bool(got_states[e, 1]) == env.rewarded
+        if env_id == "stitchchain":
+            assert got_r.sum() > 0 and got_done.any() and not got_done.all()
+
+    @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
+    def test_step_and_expert_equal_sequential(self, env_id):
+        """Whole noisy-expert episodes: the same states, actions, rewards,
+        done flags and draws as the one-episode oracle."""
+        for sigma in (0.0, 0.7):
+            new, old = make_env(env_id), SEQUENTIAL[env_id]()
+            g_new, g_old = (np.random.default_rng(3) for _ in range(2))
+            s_new, s_old = new.reset(), old.reset()
+            done = False
+            while not done:
+                a_new = new.expert_action(s_new, g_new, sigma)
+                a_old = old.expert_action(s_old, g_old, sigma)
+                assert a_new.tobytes() == a_old.tobytes()
+                s_new, r_new, done = new.step(a_new)
+                s_old, r_old, done_old = old.step(a_old)
+                assert s_new.tobytes() == s_old.tobytes()
+                assert (r_new, done) == (r_old, done_old)
+            assert g_new.bit_generator.state == g_old.bit_generator.state
+
+
+class TestLockstepLanes:
+    @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sigma_returns_bitwise_equal_sequential(self, env_id, seed):
+        rng_new, rng_old = (np.random.default_rng(seed) for _ in range(2))
+        _, got = envs._sigma_returns(env_id, rng_new)
+        want = sequential_sigma_returns(env_id, rng_old)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        spec = make_env_spec(env_id)
+        target = spec.random_score + (spec.expert_score
+                                      - spec.random_score) / 3.0
+        assert (envs._calibrate_medium_sigma(
+                    env_id, np.random.default_rng(seed), target)
+                == sequential_calibrate(
+                    env_id, np.random.default_rng(seed), target))
+
+    @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
+    def test_reference_scores_bitwise_equal_sequential(self, env_id):
+        env = SEQUENTIAL[env_id]()
+        random_score = sequential_run_policy(
+            env, lambda s, r: r.uniform(-1.0, 1.0, size=env.d_a),
+            np.random.default_rng(0), 100)
+        expert_score = sequential_run_policy(
+            env, lambda s, r: env.expert_action(s), np.random.default_rng(0),
+            100)
+        spec = make_env_spec(env_id)
+        assert (spec.random_score, spec.expert_score) == (random_score,
+                                                          expert_score)
+
+    def test_variable_length_lanes_follow_their_own_chains(self):
+        """Lanes whose episodes end at different steps: each lane's mean
+        matches the sequential scorer on its own stream."""
+        cls, episodes = StitchChain, 7
+        noise = np.random.default_rng(11).uniform(
+            -0.2, 1.0, size=(4, episodes * cls.t_max, 1))
+        got = envs.lane_returns(cls, lambda s, u: u, noise, episodes)
+        for lane in range(4):
+            steps = iter(noise[lane])
+            want = sequential_run_policy(
+                SequentialStitchChain(), lambda s, r: next(steps), None,
+                episodes)
+            assert got[lane] == want
+        assert len(set(got.tolist())) > 1
 
 
 class TestEnvSpec:

@@ -6,7 +6,7 @@ import pytest
 from drdt3.bundle import (BundleFormatError, fresh_bundle, load_bundle,
                           save_bundle)
 from drdt3.config import TrainConfig
-from drdt3.envs import TrajectoryStore, generate_dataset
+from drdt3.envs import Trajectory, TrajectoryStore, generate_dataset
 from drdt3.store_io import (StoreFormatError, export_text, load_store,
                             save_store)
 
@@ -30,6 +30,35 @@ def _rewrite_header(path, mutate):
     mutate(fields)
     path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n"
                      + rest)
+
+
+def _rewrite_bundle(path, mutate):
+    """Apply `mutate` to the bundle's list of (manifest entry, parameter
+    bytes) pairs and write the bundle back with the entries and blocks it
+    returns, in that order."""
+    magic, header, rest = path.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    blocks, at = [], 0
+    for entry in fields["manifest"]:
+        size = 8 * int(np.prod(entry[1]))
+        blocks.append((entry, rest[at:at + size]))
+        at += size
+    blocks = mutate(blocks)
+    fields["manifest"] = [entry for entry, _ in blocks]
+    path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n"
+                     + b"".join(data for _, data in blocks))
+
+
+def _unchanged_by_failed_write(tmp_path, save, good, broken):
+    """Save `good`, then fail halfway through saving `broken` to the same
+    path: the old file must survive byte for byte, with no temp file left."""
+    p = tmp_path / "target"
+    save(good, p)
+    before = p.read_bytes()
+    with pytest.raises(ValueError):
+        save(broken, p)
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["target"]
 
 
 class TestStoreRoundTrip:
@@ -121,6 +150,15 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreFormatError, match="trajectory"):
             load_store(p)
 
+    def test_failed_write_keeps_old_file(self, store, tmp_path):
+        broken = TrajectoryStore(store.env_id, store.d_s, store.d_a,
+                                 store.trajectories)
+        last = store.trajectories[-1]
+        bad = Trajectory(last.states, last.actions, last.rewards)
+        bad.rewards = np.array(["not a float"] * last.length)
+        broken.trajectories[-1] = bad
+        _unchanged_by_failed_write(tmp_path, save_store, store, broken)
+
     def test_text_export(self, store, tmp_path):
         p = tmp_path / "s.jsonl"
         export_text(store, p)
@@ -187,6 +225,29 @@ class TestBundleRoundTrip:
         p.write_bytes(data.replace(old, new, 1))
         with pytest.raises(BundleFormatError, match=match):
             load_bundle(p)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda bs: [b for b in bs if b[0][0] != "noise.out.b"],
+        lambda bs: [([n, shape[::-1]] if n == "dt3.proj_rtg.w" else [n, shape],
+                     data) for (n, shape), data in bs],
+        lambda bs: bs + bs[-1:],
+        lambda bs: [bs[1], bs[0]] + bs[2:],
+    ], ids=["entry-missing", "shape-transposed", "entry-repeated",
+            "entries-reordered"])
+    def test_manifest_must_match_config(self, store, tiny_config, tmp_path,
+                                        mutate):
+        p = tmp_path / "m.drdt3"
+        b = fresh_bundle(tiny_config, store)
+        assert dict(b.named_params())["dt3.proj_rtg.w"].data.shape == (1, 8)
+        save_bundle(b, p)
+        _rewrite_bundle(p, mutate)
+        with pytest.raises(BundleFormatError, match="manifest"):
+            load_bundle(p)
+
+    def test_failed_write_keeps_old_file(self, store, tiny_config, tmp_path):
+        good, broken = (fresh_bundle(tiny_config, store) for _ in range(2))
+        broken.noise.out.b.data = np.array(["not a float"])
+        _unchanged_by_failed_write(tmp_path, save_bundle, good, broken)
 
     def test_reloaded_bundle_evaluates_identically(self, store, tiny_config,
                                                    tmp_path):
