@@ -6,8 +6,8 @@ and `drdt3 check` finite-difference checks each of them. All indexing goes
 through one gather, `take_slice` (`DArray.__getitem__`). The graph is built
 eagerly; `backward` walks it in reverse topological order, visiting each node
 exactly once. Leaf gradients accumulate across backward calls until
-`zero_grad`. Inside `with no_grad():` nothing is recorded, so inference
-builds no graph.
+`zero_grad`, which zeroes an existing gradient in place. Inside
+`with no_grad():` nothing is recorded, so inference builds no graph.
 """
 
 from __future__ import annotations
@@ -62,7 +62,10 @@ class DArray:
         return self.data.ndim
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def __repr__(self):
         return f"DArray(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -95,6 +98,42 @@ class DArray:
 
 def _as_darray(x):
     return x if isinstance(x, DArray) else DArray(x)
+
+
+class Params:
+    """Parameters named by one walk over the attributes, in assignment
+    order: a DArray with `requires_grad` is a parameter, a `Params` is a
+    sub-module named `name.`, and anything else is skipped. The order is
+    the layout of a bundle's vectors and file: keep assignments in place."""
+
+    def named(self, prefix=""):
+        head = prefix + "." if prefix else ""
+        out = []
+        for name, value in vars(self).items():
+            if isinstance(value, Params):
+                out += value.named(head + name)
+            elif isinstance(value, DArray) and value.requires_grad:
+                out.append((head + name, value))
+        return out
+
+    def parameters(self):
+        return [p for _, p in self.named()]
+
+
+def flatten(params):
+    """Copy `params`, in order, into one data vector and give them one zero
+    gradient vector; rebind each `.data` and `.grad` to its reshaped view
+    of them. Returns (data, grad)."""
+    sizes = [p.data.size for p in params]
+    data, grad = np.empty(sum(sizes)), np.zeros(sum(sizes))
+    lo = 0
+    for p, n in zip(params, sizes):
+        shape = p.data.shape
+        data[lo:lo + n] = p.data.reshape(-1)
+        p.data = data[lo:lo + n].reshape(shape)
+        p.grad = grad[lo:lo + n].reshape(shape)
+        lo += n
+    return data, grad
 
 
 _recording = True

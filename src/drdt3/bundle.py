@@ -1,9 +1,13 @@
 """Policy bundle: every learnable parameter plus the config that shaped it.
 
+A bundle holds its parameters in one float64 vector, `data`, and their
+gradients in another, `grad`, both in `named()` order; each parameter's
+`.data` and `.grad` are views into them.
+
 Same container discipline as the trajectory format: a magic line, one
 canonical JSON header (config, normalization constants, parameter manifest),
-then the parameter tensors as little-endian float64 blocks in manifest order.
-Load -> save is byte-identical.
+then the parameter vector as one little-endian float64 block, which is each
+tensor's block in manifest order. Load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import ConfigError, TrainConfig, config_to_dict
 from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
@@ -29,12 +34,19 @@ def _canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class PolicyBundle:
-    def __init__(self, config, dt3, noise, env_id, d_s, d_a,
-                 state_mean, state_std, rtg_norm, initial_return, seed):
+class PolicyBundle(ad.Params):
+    """Both parameter groups, initialized from `seed` in the shapes that
+    `config`, `d_s` and `d_a` give, with the dataset's constants."""
+
+    def __init__(self, config, env_id, d_s, d_a, state_mean, state_std,
+                 rtg_norm, initial_return, seed):
+        rng = np.random.default_rng(seed)
         self.config = config
-        self.dt3 = dt3
-        self.noise = noise
+        self.dt3 = DT3Params(rng, d_s, d_a, config)
+        self.noise = NoiseApproximatorParams(
+            d_a, config.cond_hidden, config.time_embed_dim,
+            config.mlp_expansion, config.noise_approx_variant, rng,
+        )
         self.env_id = env_id
         self.d_s = d_s
         self.d_a = d_a
@@ -43,13 +55,7 @@ class PolicyBundle:
         self.rtg_norm = float(rtg_norm)
         self.initial_return = float(initial_return)
         self.seed = int(seed)
-
-    def named_params(self):
-        return ([("dt3." + n, p) for n, p in self.dt3.named()]
-                + [(n, p) for n, p in self.noise.named()])
-
-    def parameters(self):
-        return [p for _, p in self.named_params()]
+        self.data, self.grad = ad.flatten(self.parameters())
 
     def config_hash(self):
         return hashlib.sha256(
@@ -59,23 +65,14 @@ class PolicyBundle:
 
 def fresh_bundle(config, store, seed=None):
     """Initialize a bundle for the given dataset's dimensions and stats."""
-    seed = config.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    dt3 = DT3Params.init(rng, store.d_s, store.d_a, config)
-    noise = NoiseApproximatorParams(
-        store.d_a, config.cond_hidden, config.time_embed_dim,
-        config.mlp_expansion, config.noise_approx_variant, rng,
-    )
     return PolicyBundle(
-        config, dt3, noise, store.env_id, store.d_s, store.d_a,
-        store.state_mean, store.state_std, store.max_abs_return,
-        store.max_return(), seed,
+        config, store.env_id, store.d_s, store.d_a, store.state_mean,
+        store.state_std, store.max_abs_return, store.max_return(),
+        config.seed if seed is None else seed,
     )
 
 
 def save_bundle(bundle, path):
-    names = [n for n, _ in bundle.named_params()]
-    params = dict(bundle.named_params())
     header = {
         "config": config_to_dict(bundle.config),
         "env_id": bundle.env_id,
@@ -86,13 +83,12 @@ def save_bundle(bundle, path):
         "rtg_norm": bundle.rtg_norm,
         "initial_return": bundle.initial_return,
         "seed": bundle.seed,
-        "manifest": [[n, list(params[n].data.shape)] for n in names],
+        "manifest": [[n, list(p.data.shape)] for n, p in bundle.named()],
     }
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(_canonical_json(header).encode() + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(params[n].data, dtype="<f8").tobytes())
+        fh.write(np.asarray(bundle.data, dtype="<f8").tobytes())
 
 
 def load_bundle(path):
@@ -108,16 +104,10 @@ def load_bundle(path):
             if odd:
                 raise ConfigError(f"unknown or missing keys {sorted(odd)}")
             config = TrainConfig(**header["config"]).validate()
-
-            rng = np.random.default_rng(0)  # shapes only; values read below
-            dt3 = DT3Params.init(rng, header["d_s"], header["d_a"], config)
-            noise = NoiseApproximatorParams(
-                header["d_a"], config.cond_hidden, config.time_embed_dim,
-                config.mlp_expansion, config.noise_approx_variant, rng,
-            )
+            # The shapes come from the config; the values are read below.
             bundle = PolicyBundle(
-                config, dt3, noise, header["env_id"], header["d_s"],
-                header["d_a"], header["state_mean"], header["state_std"],
+                config, header["env_id"], header["d_s"], header["d_a"],
+                header["state_mean"], header["state_std"],
                 header["rtg_norm"], header["initial_return"], header["seed"],
             )
             manifest = header["manifest"]
@@ -125,16 +115,17 @@ def load_bundle(path):
             raise BundleFormatError(
                 f"bad bundle header ({type(e).__name__}: {e})"
             ) from None
-        expected = [[n, list(p.data.shape)] for n, p in bundle.named_params()]
+        expected = [[n, list(p.data.shape)] for n, p in bundle.named()]
         if manifest != expected:
             raise BundleFormatError(
                 "manifest does not list its config's parameters, in order "
                 "and with their shapes")
-        for name, p in bundle.named_params():
-            buf = fh.read(8 * p.data.size)
-            if len(buf) != 8 * p.data.size:
-                raise BundleFormatError(f"truncated block for {name!r}")
-            p.data = np.frombuffer(buf, dtype="<f8").reshape(p.data.shape).copy()
+        buf = fh.read(8 * bundle.data.size)
+        if len(buf) != 8 * bundle.data.size:
+            raise BundleFormatError(
+                f"truncated parameter block: {len(buf)} of "
+                f"{8 * bundle.data.size} bytes")
+        bundle.data[:] = np.frombuffer(buf, dtype="<f8")
         if fh.read(1):
             raise BundleFormatError("trailing bytes after the last parameter")
     return bundle

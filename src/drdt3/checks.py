@@ -107,7 +107,7 @@ def check_dt3_gradients(seed=0):
     inner update on a small model."""
     rng = np.random.default_rng(seed)
     cfg = _tiny_config()
-    dt3 = DT3Params.init(rng, 3, 2, cfg)
+    dt3 = DT3Params(rng, 3, 2, cfg)
     batch = _tiny_batch(rng, k=cfg.context_len)
     target = rng.uniform(-1, 1, size=(2, cfg.context_len, 2))
 
@@ -141,7 +141,7 @@ def check_unified_gradients(seed=0):
     rng = np.random.default_rng(seed)
     cfg = _tiny_config()
     d_s, d_a, b = 3, 2, 4
-    dt3 = DT3Params.init(rng, d_s, d_a, cfg)
+    dt3 = DT3Params(rng, d_s, d_a, cfg)
     noise = NoiseApproximatorParams(d_a, cfg.cond_hidden, cfg.time_embed_dim,
                                     cfg.mlp_expansion, "full", rng)
     sched = vp_schedule(cfg.n_diffusion_steps)

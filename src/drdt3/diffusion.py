@@ -71,7 +71,7 @@ def _check_step(i, sched):
 # Noise approximator
 # ---------------------------------------------------------------------------
 
-class NoiseApproximatorParams:
+class NoiseApproximatorParams(ad.Params):
     """Gated-MLP epsilon model conditioned on (timestep embedding, coarse action).
 
     variant:
@@ -102,14 +102,9 @@ class NoiseApproximatorParams:
         self.ln_g = DArray(np.ones(d_h), requires_grad=True)
         self.ln_b = DArray(np.zeros(d_h), requires_grad=True)
         m = expansion * d_h
-        if self._gated():
-            self.branch_a = Linear.init(rng, d_h, m)
-            self.branch_b = Linear.init(rng, d_h, m)
-            self.down = Linear.init(rng, m, d_h)
-        else:
-            self.branch_a = Linear.init(rng, d_h, m)
-            self.branch_b = None
-            self.down = Linear.init(rng, m, d_h)
+        self.branch_a = Linear.init(rng, d_h, m)
+        self.branch_b = Linear.init(rng, d_h, m) if self._gated() else None
+        self.down = Linear.init(rng, m, d_h)
         self.out = Linear.init(rng, d_h, d_a)
 
     def _uses_adaln(self):
@@ -117,22 +112,6 @@ class NoiseApproximatorParams:
 
     def _gated(self):
         return self.variant in ("full", "no_adaln")
-
-    def named(self):
-        out = self.cond_proj.named("noise.cond_proj")
-        if self.adaln is not None:
-            out += self.adaln.named("noise.adaln")
-        out += self.in_proj.named("noise.in_proj")
-        out += [("noise.ln_g", self.ln_g), ("noise.ln_b", self.ln_b)]
-        out += self.branch_a.named("noise.branch_a")
-        if self.branch_b is not None:
-            out += self.branch_b.named("noise.branch_b")
-        out += self.down.named("noise.down")
-        out += self.out.named("noise.out")
-        return out
-
-    def parameters(self):
-        return [p for _, p in self.named()]
 
 
 def sinusoidal_embedding(i, dim):

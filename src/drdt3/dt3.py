@@ -83,7 +83,7 @@ class ContextBatch:
 # Parameter containers
 # ---------------------------------------------------------------------------
 
-class Linear:
+class Linear(ad.Params):
     def __init__(self, w, b):
         self.w = w
         self.b = b
@@ -98,11 +98,8 @@ class Linear:
     def __call__(self, x):
         return ad.affine(x, self.w, self.b)
 
-    def named(self, prefix):
-        return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
-
-class TTTLinearLayer:
+class TTTLinearLayer(ad.Params):
     """Fast-weight layer: W starts at W0 each sequence and takes one
     gradient step on the token reconstruction loss per real token."""
 
@@ -120,83 +117,35 @@ class TTTLinearLayer:
         w0 = DArray(np.zeros((d, d)), requires_grad=True)
         return cls(w0, proj(), proj(), proj(), inner_lr)
 
-    def named(self, prefix):
-        return [(prefix + ".w0", self.w0),
-                (prefix + ".theta_q", self.theta_q),
-                (prefix + ".theta_k", self.theta_k),
-                (prefix + ".theta_v", self.theta_v)]
 
-
-class AttentionTTTBlock:
-    def __init__(self, wq, wk, wv, wo, n_heads, ln1_g, ln1_b, ttt, ln2_g, ln2_b):
-        self.wq, self.wk, self.wv, self.wo = wq, wk, wv, wo
-        self.n_heads = n_heads
-        self.ln1_g, self.ln1_b = ln1_g, ln1_b
-        self.ttt = ttt
-        self.ln2_g, self.ln2_b = ln2_g, ln2_b
-
-    @classmethod
-    def init(cls, rng, d, n_heads, inner_lr):
+class AttentionTTTBlock(ad.Params):
+    def __init__(self, rng, d, n_heads, inner_lr):
         if d % n_heads != 0:
             raise ValueError(f"embed dim {d} not divisible by {n_heads} heads")
-        mk = lambda: Linear.init(rng, d, d)
-        ones = lambda: DArray(np.ones(d), requires_grad=True)
-        zeros = lambda: DArray(np.zeros(d), requires_grad=True)
-        return cls(mk(), mk(), mk(), mk(), n_heads, ones(), zeros(),
-                   TTTLinearLayer.init(rng, d, inner_lr), ones(), zeros())
-
-    def named(self, prefix):
-        out = []
-        for n, lin in (("wq", self.wq), ("wk", self.wk),
-                       ("wv", self.wv), ("wo", self.wo)):
-            out += lin.named(f"{prefix}.{n}")
-        out += [(f"{prefix}.ln1_g", self.ln1_g), (f"{prefix}.ln1_b", self.ln1_b)]
-        out += self.ttt.named(f"{prefix}.ttt")
-        out += [(f"{prefix}.ln2_g", self.ln2_g), (f"{prefix}.ln2_b", self.ln2_b)]
-        return out
+        self.wq, self.wk, self.wv, self.wo = (Linear.init(rng, d, d)
+                                              for _ in range(4))
+        self.n_heads = n_heads
+        self.ln1_g = DArray(np.ones(d), requires_grad=True)
+        self.ln1_b = DArray(np.zeros(d), requires_grad=True)
+        self.ttt = TTTLinearLayer.init(rng, d, inner_lr)
+        self.ln2_g = DArray(np.ones(d), requires_grad=True)
+        self.ln2_b = DArray(np.zeros(d), requires_grad=True)
 
 
-class DT3Params:
-    def __init__(self, proj_rtg, proj_state, proj_action, time_table, block,
-                 lnf_g, lnf_b, head, dt_mode=False):
-        self.proj_rtg = proj_rtg
-        self.proj_state = proj_state
-        self.proj_action = proj_action
-        self.time_table = time_table
-        self.block = block
-        self.lnf_g, self.lnf_b = lnf_g, lnf_b
-        self.head = head
-        self.dt_mode = dt_mode
-
-    @classmethod
-    def init(cls, rng, d_s, d_a, cfg):
+class DT3Params(ad.Params):
+    def __init__(self, rng, d_s, d_a, cfg):
         d = cfg.embed_dim
-        return cls(
-            Linear.init(rng, 1, d),
-            Linear.init(rng, d_s, d),
-            Linear.init(rng, d_a, d),
-            DArray(rng.normal(0.0, 0.02, size=(cfg.max_episode_len, d)),
-                   requires_grad=True),
-            AttentionTTTBlock.init(rng, d, cfg.n_heads, cfg.inner_lr),
-            DArray(np.ones(d), requires_grad=True),
-            DArray(np.zeros(d), requires_grad=True),
-            Linear.init(rng, d, d_a),
-            dt_mode=cfg.dt_mode,
-        )
-
-    def named(self):
-        out = []
-        out += self.proj_rtg.named("proj_rtg")
-        out += self.proj_state.named("proj_state")
-        out += self.proj_action.named("proj_action")
-        out.append(("time_table", self.time_table))
-        out += self.block.named("block")
-        out += [("lnf_g", self.lnf_g), ("lnf_b", self.lnf_b)]
-        out += self.head.named("head")
-        return out
-
-    def parameters(self):
-        return [p for _, p in self.named()]
+        self.proj_rtg = Linear.init(rng, 1, d)
+        self.proj_state = Linear.init(rng, d_s, d)
+        self.proj_action = Linear.init(rng, d_a, d)
+        self.time_table = DArray(
+            rng.normal(0.0, 0.02, size=(cfg.max_episode_len, d)),
+            requires_grad=True)
+        self.block = AttentionTTTBlock(rng, d, cfg.n_heads, cfg.inner_lr)
+        self.lnf_g = DArray(np.ones(d), requires_grad=True)
+        self.lnf_b = DArray(np.zeros(d), requires_grad=True)
+        self.head = Linear.init(rng, d, d_a)
+        self.dt_mode = cfg.dt_mode
 
 
 # ---------------------------------------------------------------------------

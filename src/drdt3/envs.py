@@ -134,6 +134,13 @@ def normalized_score(raw, spec):
 # Environments
 # ---------------------------------------------------------------------------
 
+def _check_action(action, d_a):
+    """Reject what `dynamics` would broadcast or truncate without a word."""
+    if np.shape(action) != (d_a,):
+        raise ValueError(f"action must have shape ({d_a},), got "
+                         f"{np.shape(action)}")
+
+
 class PointReach:
     """2-D point mass: state (pos, vel) in R^4, action = acceleration in
     [-1,1]^2, Euler step dt=0.1, reward -|pos - goal|, horizon 50."""
@@ -169,6 +176,7 @@ class PointReach:
                 np.full(len(state), t + 1 >= cls.t_max))
 
     def step(self, action):
+        _check_action(action, self.d_a)
         state, reward, _ = self.dynamics(
             self.state[None], self.t, np.asarray(action, dtype=float)[None])
         self.state = state[0]
@@ -224,9 +232,10 @@ class StitchChain:
         return nxt, reward, (nxt[:, 1] == 1.0) | (t + 1 >= cls.t_max)
 
     def step(self, action):
+        _check_action(action, self.d_a)
         state, reward, done = self.dynamics(
             np.array([[self.pos, float(self.rewarded)]]), self.t,
-            np.asarray(action, dtype=float).reshape(1, -1)[:, :1])
+            np.asarray(action, dtype=float)[None])
         self.pos, self.rewarded = float(state[0, 0]), bool(state[0, 1])
         self.t += 1
         return state[0, :1], float(reward[0]), bool(done[0])

@@ -26,6 +26,8 @@ def read_metric_csv(path, column=None):
         header = next(reader, None)
         if header is None:
             raise PlotError("empty CSV")
+        if column is not None and column not in header:
+            raise PlotError(f"no column {column!r} in {', '.join(header)}")
         col = len(header) - 1 if column is None else header.index(column)
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -77,6 +79,8 @@ def render_curve_svg(label, points, window=10, width=640, height=360):
 
 
 def plot_metrics(csv_path, out_path, column=None, window=10):
+    if window < 1:
+        raise PlotError(f"window must be >= 1, got {window}")
     label, points = read_metric_csv(csv_path, column)
     svg = render_curve_svg(label, points, window)
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .envs import Trajectory, TrajectoryStore
+from .envs import Trajectory, TrajectoryStore, env_class
 
 MAGIC = b"drdt3/1\n"
 
@@ -107,6 +107,16 @@ def load_store(path):
             raise StoreFormatError(f"header lacks {', '.join(missing)}")
         d_s, d_a, n_traj = (_header_int(header, k, low) for k, low in
                             (("d_s", 1), ("d_a", 1), ("n_traj", 0)))
+        try:
+            env = env_class(header["env_id"])
+        except (ValueError, TypeError):
+            raise StoreFormatError(
+                f"header env_id {header['env_id']!r} is not a known env"
+            ) from None
+        if (d_s, d_a) != (env.d_s, env.d_a):
+            raise StoreFormatError(
+                f"header dims d_s={d_s}, d_a={d_a} differ from {env.env_id}'s "
+                f"d_s={env.d_s}, d_a={env.d_a}")
         trajs = []
         for j in range(n_traj):
             line = _read_line(fh, f"trajectory {j} header")

@@ -45,17 +45,25 @@ class MetricsLog:
 
     @classmethod
     def read_csv(cls, out_dir):
+        """The log that `write_csv` left in `out_dir`; a row without four
+        parseable fields raises ValueError naming its file and line."""
         log = cls()
-        with open(os.path.join(out_dir, "updates.csv"), newline="") as fh:
-            for row in list(csv.reader(fh))[1:]:
-                log.updates.append((int(row[0]), float(row[1]),
-                                    float(row[2]), float(row[3])))
-        evals_path = os.path.join(out_dir, "evals.csv")
-        if os.path.exists(evals_path):
-            with open(evals_path, newline="") as fh:
-                for row in list(csv.reader(fh))[1:]:
-                    log.evals.append((int(row[0]), float(row[1]),
-                                      float(row[2]), float(row[3])))
+        for name, rows in (("updates.csv", log.updates),
+                           ("evals.csv", log.evals)):
+            path = os.path.join(out_dir, name)
+            if rows is log.evals and not os.path.exists(path):
+                continue
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                next(reader, None)
+                for row in reader:
+                    try:
+                        if len(row) != 4:
+                            raise ValueError(f"{len(row)} fields, not 4")
+                        rows.append((int(row[0]), *map(float, row[1:])))
+                    except ValueError as e:
+                        raise ValueError(f"{path}, line {reader.line_num}: "
+                                         f"{e}") from None
         return log
 
     def write_csv(self, out_dir):
@@ -105,37 +113,46 @@ def unified_loss(l_diff, l_dt3, zeta):
 # Optimizer
 # ---------------------------------------------------------------------------
 
-class AdamW:
-    """Adaptive-moment update with decoupled weight decay."""
+# Elements per pass of `AdamW.step`: a block's temporaries stay in cache,
+# where whole-vector temporaries of a default-scale model do not.
+_ADAM_BLOCK = 1 << 14
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
+
+class AdamW:
+    """Adaptive-moment update with decoupled weight decay, on a parameter
+    vector `data` and its gradient vector `grad` (as `autodiff.flatten`
+    returns them), updated in place."""
+
+    def __init__(self, data, grad, lr, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=0.0):
-        self.params = list(params)
+        self.data, self.grad = data, grad
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(data)
+        self.v = np.zeros_like(data)
 
     def step(self):
-        """One update from each parameter's `.grad`."""
-        grads = [p.grad for p in self.params]
-        for g in grads:
-            if g is None or not np.all(np.isfinite(g)):
-                raise TrainingAborted("non-finite or missing gradient")
+        """One update from `grad`, block by block; every element sees the
+        arithmetic of a per-array update."""
+        if not np.isfinite(self.grad).all():
+            raise TrainingAborted("non-finite gradient")
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for lo in range(0, self.data.size, _ADAM_BLOCK):
+            block = slice(lo, lo + _ADAM_BLOCK)
+            p, g = self.data[block], self.grad[block]
+            m, v = self.m[block], self.v[block]
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                p -= self.lr * self.weight_decay * p
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def clip_grad_norm(params, max_norm):
@@ -252,15 +269,14 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
         bundle = fresh_bundle(config, store)
     sched = vp_schedule(config.n_diffusion_steps, config.beta_min,
                         config.beta_max)
+    params = bundle.parameters()
+    n_opt = bundle.data.size
     if config.objective == "dt3_only":
-        # Leave the untouched diffusion parameters at initialization
-        # (weight decay would otherwise shrink them without gradients).
-        params = [p for name, p in bundle.named_params()
-                  if name.startswith("dt3.")]
-    else:
-        params = bundle.parameters()
-    opt = AdamW(params, config.learning_rate,
-                weight_decay=config.weight_decay)
+        # Optimize only the dt3 prefix of the parameter vector: weight decay
+        # would otherwise shrink the untouched diffusion parameters.
+        n_opt = sum(p.data.size for p in bundle.dt3.parameters())
+    opt = AdamW(bundle.data[:n_opt], bundle.grad[:n_opt],
+                config.learning_rate, weight_decay=config.weight_decay)
     k = config.context_len
     n = config.n_diffusion_steps
 
@@ -298,7 +314,7 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
                 loss = ad.scale(l_dt3, config.zeta)
                 l_diff_val = 0.0
 
-            ad.zero_grads(params)
+            bundle.grad.fill(0.0)
             ad.backward(loss)
             clip_grad_norm(params, config.grad_clip)
             try:

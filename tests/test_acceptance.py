@@ -171,7 +171,7 @@ def test_criterion_4_two_mode_sampler():
     n = 20  # fine reverse chain; the residual per-step noise stays small
     sched = vp_schedule(n, 0.1, 10.0)
     params = NoiseApproximatorParams(1, 32, 8, 2, "full", rng)
-    opt = AdamW(params.parameters(), lr=1e-3)
+    opt = AdamW(*ad.flatten(params.parameters()), lr=1e-3)
     cond = np.zeros((256, 1))
     for _ in range(3000):
         a0 = rng.choice([-0.8, 0.8], size=(256, 1))
@@ -271,9 +271,9 @@ def test_criterion_6_unified_objective():
     params = bundle.parameters()
     ad.zero_grads(params)
     ad.backward(loss)
-    dt3_norm = sum(np.linalg.norm(p.grad) for n, p in bundle.named_params()
+    dt3_norm = sum(np.linalg.norm(p.grad) for n, p in bundle.named()
                    if n.startswith("dt3."))
-    noise_norm = sum(np.linalg.norm(p.grad) for n, p in bundle.named_params()
+    noise_norm = sum(np.linalg.norm(p.grad) for n, p in bundle.named()
                      if n.startswith("noise."))
     joint_ok = dt3_norm > 0 and noise_norm > 0
 

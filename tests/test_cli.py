@@ -132,7 +132,10 @@ class TestTrain:
         (b'"n_traj":', b'"n_trajs":'),          # missing header key
         (b'"d_s":', b'"d_s":"three","x":'),     # non-integer header value
         (b"\ntraj ", b"\ntraj x"),              # non-integer trajectory length
-    ], ids=["missing-key", "non-integer-header", "non-integer-length"])
+        (b'"stitchchain"', b'"labyrinth"'),     # unknown env
+        (b'"d_s":1,', b'"d_s":2,'),             # dims differ from the env's
+    ], ids=["missing-key", "non-integer-header", "non-integer-length",
+            "unknown-env", "dims-differ"])
     def test_malformed_store_exit_one(self, workspace, tmp_path, capsys, old,
                                       new):
         data = (workspace / "stitch.bin").read_bytes()
@@ -189,6 +192,19 @@ class TestTrain:
         with open(out / "updates.csv", newline="") as fh:
             idx = [int(r[0]) for r in list(csv.reader(fh))[1:]]
         assert idx == list(range(10))
+
+    def test_resume_over_short_row_exit_one(self, workspace, tmp_path,
+                                            capsys):
+        out = tmp_path / "short"
+        args = ["train", "--config", str(workspace / "tiny.cfg"),
+                "--data", str(workspace / "stitch.bin"), "--out", str(out)]
+        assert main(args) == 0
+        with open(out / "updates.csv", "a") as fh:
+            fh.write("5,0.1\n")
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "updates.csv, line 7" in err and "Traceback" not in err
 
     def test_resume_without_checkpoint_fails(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
@@ -315,6 +331,20 @@ class TestPlot:
         src.write_text("update_idx,l_total\n0,1.0\n1\n")
         with pytest.raises(PlotError, match="row 3"):
             plot_metrics(str(src), str(tmp_path / "x.svg"))
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--column", "nope"], "'nope'"),
+        (["--window", "0"], "window"),
+        (["--window", "-3"], "window"),
+    ], ids=["unknown-column", "window-zero", "window-negative"])
+    def test_bad_plot_argument_exit_one(self, tmp_path, capsys, flags, named):
+        src, out = tmp_path / "m.csv", tmp_path / "m.svg"
+        self._write_csv(src, [1.0, 2.0, 3.0])
+        rc = main(["plot", "--metrics", str(src), "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
 
     def test_data_embedded_in_svg_comment(self, tmp_path):
         src, out = tmp_path / "m.csv", tmp_path / "m.svg"

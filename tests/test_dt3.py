@@ -78,7 +78,7 @@ class TestSetRow:
 class TestEmbedContext:
     def test_zero_context_zero_projections_leaves_time_embeddings(self):
         rng = np.random.default_rng(1)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         for lin in (params.proj_rtg, params.proj_state, params.proj_action):
             lin.w.data[:] = 0.0
             lin.b.data[:] = 0.0
@@ -95,14 +95,14 @@ class TestEmbedContext:
     def test_mask_layout_with_two_real_steps(self):
         rng = np.random.default_rng(2)
         cfg = tiny_cfg(context_len=6)
-        params = DT3Params.init(rng, 3, 2, cfg)
+        params = DT3Params(rng, 3, 2, cfg)
         _, mask = embed_context(make_batch(k=6, pad=4, rng=rng), params)
         assert not mask[0, :12].any()
         assert mask[0, 12:].all()
 
     def test_state_projection_linearity(self):
         rng = np.random.default_rng(3)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         batch = make_batch(rng=np.random.default_rng(4))
         t1, _ = embed_context(batch, params)
         params.proj_state.w.data *= 2.0
@@ -119,7 +119,7 @@ class TestEmbedContext:
 
     def test_timestep_out_of_range(self):
         rng = np.random.default_rng(5)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg(max_episode_len=4))
+        params = DT3Params(rng, 3, 2, tiny_cfg(max_episode_len=4))
         with pytest.raises(TimestepRangeError):
             embed_context(make_batch(t0=3), params)
 
@@ -127,7 +127,7 @@ class TestEmbedContext:
 class TestCausalAttention:
     def _setup(self, s=4, d=8, seed=6):
         rng = np.random.default_rng(seed)
-        block = AttentionTTTBlock.init(rng, d, 2, 0.5)
+        block = AttentionTTTBlock(rng, d, 2, 0.5)
         x = DArray(rng.uniform(-1, 1, (1, s, d)))
         return block, x
 
@@ -247,7 +247,7 @@ class TestFusedEqualsComposed:
     def test_attention(self, n_heads, seed):
         rng = np.random.default_rng(seed)
         b, s, d = 3, 7, 8
-        block = AttentionTTTBlock.init(rng, d, n_heads, 0.5)
+        block = AttentionTTTBlock(rng, d, n_heads, 0.5)
         params = [p for name, p in block.named("blk")
                   if not name.startswith(("blk.ttt", "blk.ln2"))]
         for p in params:
@@ -280,7 +280,7 @@ class TestFusedEqualsComposed:
 
     def test_attention_records_one_node(self):
         rng = np.random.default_rng(3)
-        block = AttentionTTTBlock.init(rng, 8, 2, 0.5)
+        block = AttentionTTTBlock(rng, 8, 2, 0.5)
         x = DArray(rng.uniform(-1, 1, (2, 5, 8)), requires_grad=True)
         mask = np.ones((2, 5), bool)
         # the fused primitive, the residual add and the layer norm
@@ -390,7 +390,7 @@ class TestPredict:
         counts = []
         for k in (3, 12):
             rng = np.random.default_rng(25)
-            params = DT3Params.init(rng, 3, 2, tiny_cfg(context_len=k))
+            params = DT3Params(rng, 3, 2, tiny_cfg(context_len=k))
             out = predict_coarse_actions_batch(make_batch(k=k, pad=1, rng=rng),
                                                params)
             counts.append(_count_nodes(out))
@@ -398,7 +398,7 @@ class TestPredict:
 
     def test_zero_action_head_gives_zero_actions(self):
         rng = np.random.default_rng(10)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         params.head.w.data[:] = 0.0
         params.head.b.data[:] = 0.0
         out = predict_one(make_batch(), params)
@@ -406,7 +406,7 @@ class TestPredict:
 
     def test_output_shape(self):
         rng = np.random.default_rng(11)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         out = predict_coarse_actions_batch(make_batch(pad=1), params)
         assert out.shape == (1, 3, 2)
 
@@ -414,7 +414,7 @@ class TestPredict:
     def test_padding_invariance(self, pad):
         # the same 3 real steps, preceded by 0..3 rows of zero padding
         rng = np.random.default_rng(12)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         base = make_batch(k=3, rng=np.random.default_rng(13))
 
         def padded(x):
@@ -429,7 +429,7 @@ class TestPredict:
 
     def test_causality_future_tokens(self):
         rng = np.random.default_rng(14)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         w1 = make_batch(rng=np.random.default_rng(15))
         w2 = make_batch(rng=np.random.default_rng(15))
         w2.states[0, 2] += 5.0
@@ -440,7 +440,7 @@ class TestPredict:
 
     def test_fast_weight_isolation_and_determinism(self):
         rng = np.random.default_rng(16)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         a = make_batch(rng=np.random.default_rng(17))
         b = make_batch(rng=np.random.default_rng(18))
         out_b_first = predict_one(b, params).copy()
@@ -450,7 +450,7 @@ class TestPredict:
 
     def test_dt_mode_differs_from_full_block(self):
         rng = np.random.default_rng(19)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         w = make_batch(rng=np.random.default_rng(20))
         full = predict_one(w, params).copy()
         params.dt_mode = True
@@ -459,7 +459,7 @@ class TestPredict:
 
     def test_gradients_flow_through_inner_update(self):
         rng = np.random.default_rng(23)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         w = make_batch(rng=np.random.default_rng(24))
         ttt_params = [p for _, p in params.block.ttt.named("ttt")]
         ad.zero_grads(ttt_params)
@@ -472,7 +472,7 @@ class TestPredict:
 
     def test_no_grad_forward_is_bitwise_equal_and_untracked(self):
         rng = np.random.default_rng(27)
-        params = DT3Params.init(rng, 3, 2, tiny_cfg())
+        params = DT3Params(rng, 3, 2, tiny_cfg())
         noise = NoiseApproximatorParams(2, 8, 4, 2, "full", rng)
         batch = make_batch(pad=1, rng=np.random.default_rng(28))
         a_i = rng.standard_normal((1, 2))

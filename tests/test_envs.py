@@ -215,6 +215,19 @@ class TestEnvs:
         _, r2, _ = env.step(np.zeros(2))
         assert r1 == r2 == -np.linalg.norm(env.goal)
 
+    @pytest.mark.parametrize("env_cls, action", [
+        (PointReach, np.array([0.5])),
+        (PointReach, 0.5),
+        (StitchChain, np.array([0.5, 9.0])),
+    ], ids=["pointreach-one-component", "pointreach-scalar",
+            "stitchchain-extra-component"])
+    def test_malformed_action_rejected(self, env_cls, action):
+        env = env_cls()
+        env.reset()
+        with pytest.raises(ValueError, match="action must have shape"):
+            env.step(action)
+        assert env.t == 0
+
 
 class TestBatchedDynamics:
     def random_batch(self, env_id, rng, n=400):

@@ -127,6 +127,20 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreFormatError, match=key):
             load_store(p)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("env_id", "labyrinth", "env_id 'labyrinth'"),
+        ("env_id", ["stitchchain"], "env_id"),
+        ("d_s", 2, "d_s=2"),
+        ("d_a", 3, "d_a=3"),
+    ], ids=["unknown-env", "env-not-a-string", "d_s-differs", "d_a-differs"])
+    def test_header_must_match_an_env(self, store, tmp_path, key, value,
+                                      match):
+        p = tmp_path / "v.bin"
+        save_store(TrajectoryStore(store.env_id, store.d_s, store.d_a), p)
+        _rewrite_header(p, lambda h: h.update({key: value}))
+        with pytest.raises(StoreFormatError, match=match):
+            load_store(p)
+
     @pytest.mark.parametrize("key, value, n_records", [
         ("n_traj", -1, 0), ("d_s", 0, 6), ("d_s", -1, 6), ("d_a", 0, 6)])
     def test_header_out_of_range_rejected(self, store, tmp_path, key, value,
@@ -182,8 +196,8 @@ class TestBundleRoundTrip:
         p = tmp_path / "c.drdt3"
         save_bundle(b, p)
         loaded = load_bundle(p)
-        orig = dict(b.named_params())
-        for name, param in loaded.named_params():
+        orig = dict(b.named())
+        for name, param in loaded.named():
             assert np.array_equal(param.data, orig[name].data), name
         assert loaded.rtg_norm == b.rtg_norm
         assert loaded.initial_return == b.initial_return
@@ -195,8 +209,8 @@ class TestBundleRoundTrip:
         p = tmp_path / "d.drdt3"
         save_bundle(b, p)
         loaded = load_bundle(p)
-        assert [(n, q.data.shape) for n, q in loaded.named_params()] \
-            == [(n, q.data.shape) for n, q in b.named_params()]
+        assert [(n, q.data.shape) for n, q in loaded.named()] \
+            == [(n, q.data.shape) for n, q in b.named()]
 
     def test_truncated_bundle_rejected(self, store, tiny_config, tmp_path):
         b = fresh_bundle(tiny_config, store)
@@ -238,7 +252,7 @@ class TestBundleRoundTrip:
                                         mutate):
         p = tmp_path / "m.drdt3"
         b = fresh_bundle(tiny_config, store)
-        assert dict(b.named_params())["dt3.proj_rtg.w"].data.shape == (1, 8)
+        assert dict(b.named())["dt3.proj_rtg.w"].data.shape == (1, 8)
         save_bundle(b, p)
         _rewrite_bundle(p, mutate)
         with pytest.raises(BundleFormatError, match="manifest"):
@@ -246,7 +260,8 @@ class TestBundleRoundTrip:
 
     def test_failed_write_keeps_old_file(self, store, tiny_config, tmp_path):
         good, broken = (fresh_bundle(tiny_config, store) for _ in range(2))
-        broken.noise.out.b.data = np.array(["not a float"])
+        # The header is written, then the parameter block cannot convert.
+        broken.data = np.array(["not a float"])
         _unchanged_by_failed_write(tmp_path, save_bundle, good, broken)
 
     def test_reloaded_bundle_evaluates_identically(self, store, tiny_config,

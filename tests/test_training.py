@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from drdt3 import autodiff as ad
 from drdt3 import checks
 from drdt3.autodiff import DArray
-from drdt3.bundle import fresh_bundle
+from drdt3.bundle import fresh_bundle, load_bundle, save_bundle
 from drdt3.config import TrainConfig
 from drdt3.diffusion import diffusion_loss, vp_schedule
 from drdt3.dt3 import ContextBatch, predict_coarse_actions_batch
 from drdt3.envs import generate_dataset, make_env_spec
-from drdt3.training import (AdamW, TrainingAborted, clip_grad_norm, dt3_loss,
-                            sample_context_batch, train, unified_loss)
+from drdt3.training import (_ADAM_BLOCK, AdamW, TrainingAborted,
+                            clip_grad_norm, dt3_loss, sample_context_batch,
+                            train, unified_loss)
 
 
 @pytest.fixture(scope="module")
@@ -115,20 +116,50 @@ class TestUnifiedLoss:
 # AdamW
 # ---------------------------------------------------------------------------
 
+class PerArrayAdamW:
+    """The per-array AdamW that the blocked vector step replaced, kept as
+    its oracle: one update per parameter array, from each `.grad` (its
+    finite check left out)."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0):
+        self.params = list(params)
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
 class TestAdamW:
     def test_zero_grads_zero_decay_leave_params_unchanged(self):
         p = DArray(np.ones(4), requires_grad=True)
-        p.grad = np.zeros(4)
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW(*ad.flatten([p]), lr=0.1)
         opt.step()
         assert np.array_equal(p.data, np.ones(4))
 
     def test_constant_grad_step_size_approaches_lr(self):
         p = DArray(np.zeros(1), requires_grad=True)
-        opt = AdamW([p], lr=0.01)
+        opt = AdamW(*ad.flatten([p]), lr=0.01)
         prev = p.data.copy()
         for _ in range(200):
-            p.grad = np.array([3.7])
+            p.grad[:] = 3.7
             prev = p.data.copy()
             opt.step()
         # steady state: m/sqrt(v) = g/|g| regardless of |g|
@@ -136,23 +167,43 @@ class TestAdamW:
 
     def test_weight_decay_only_shrinks_params(self):
         p = DArray(np.full(3, 2.0), requires_grad=True)
-        p.grad = np.zeros(3)
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
+        opt = AdamW(*ad.flatten([p]), lr=0.1, weight_decay=0.5)
         opt.step()
         assert np.allclose(p.data, 2.0 * (1 - 0.1 * 0.5))
 
     def test_nonfinite_grad_aborts(self):
         p = DArray(np.zeros(2), requires_grad=True)
-        p.grad = np.array([1.0, np.nan])
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW(*ad.flatten([p]), lr=0.1)
+        p.grad[:] = [1.0, np.nan]
         with pytest.raises(TrainingAborted):
             opt.step()
 
-    def test_missing_grad_aborts(self):
-        p = DArray(np.zeros(2), requires_grad=True)
-        opt = AdamW([p], lr=0.1)
-        with pytest.raises(TrainingAborted):
+    @pytest.mark.parametrize("embed_dim", [32, 128])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("dt3_prefix", [False, True],
+                             ids=["all", "dt3-prefix"])
+    def test_blocked_step_matches_per_array_oracle(self, store, embed_dim,
+                                                   weight_decay, dt3_prefix):
+        """200 steps of random gradients: the blocked vector step leaves
+        every parameter bitwise equal to the per-array oracle's."""
+        cfg = TrainConfig(embed_dim=embed_dim).validate()
+        ref, new = fresh_bundle(cfg, store), fresh_bundle(cfg, store)
+        assert new.data.size > 2 * _ADAM_BLOCK    # several blocks
+        params = ref.dt3.parameters() if dt3_prefix else ref.parameters()
+        n = sum(p.data.size for p in params)
+        oracle = PerArrayAdamW(params, lr=1e-3, weight_decay=weight_decay)
+        opt = AdamW(new.data[:n], new.grad[:n], lr=1e-3,
+                    weight_decay=weight_decay)
+        rng = np.random.default_rng(embed_dim)
+        for _ in range(200):
+            g = rng.standard_normal(ref.grad.size) * rng.uniform(1e-4, 1e2)
+            ref.grad[:] = g
+            new.grad[:] = g
+            oracle.step()
             opt.step()
+        assert ref.data.tobytes() == new.data.tobytes()
+        assert not np.array_equal(ref.data[:n],
+                                  fresh_bundle(cfg, store).data[:n])
 
     def test_clip_grad_norm_scales_to_max(self):
         p = DArray(np.zeros(4), requires_grad=True)
@@ -166,6 +217,42 @@ class TestAdamW:
         p.grad = np.array([0.1, 0.1])
         clip_grad_norm([p], 1.0)
         assert np.allclose(p.grad, [0.1, 0.1])
+
+
+def test_parameters_stay_views_into_the_bundle_vectors(store, tmp_path):
+    """After fresh_bundle, load_bundle, check_gradients and a 3-update
+    train, every parameter's .data and .grad share memory with the
+    bundle's data and grad vectors."""
+    def assert_views(bundle):
+        for name, p in bundle.named():
+            assert np.shares_memory(p.data, bundle.data), name
+            assert np.shares_memory(p.grad, bundle.grad), name
+
+    cfg = tiny_config(updates_per_epoch=3)
+    bundle = fresh_bundle(cfg, store)
+    assert_views(bundle)
+    path = tmp_path / "b.drdt3"
+    save_bundle(bundle, path)
+    loaded = load_bundle(path)
+    assert_views(loaded)
+    assert loaded.data.tobytes() == bundle.data.tobytes()
+
+    spec = make_env_spec(store.env_id)
+    batch, targets = sample_context_batch(store, cfg.context_len, 2,
+                                          np.random.default_rng(0), spec)
+
+    def f():
+        pred = predict_coarse_actions_batch(batch, loaded.dt3)
+        return dt3_loss(pred, targets, batch.pad_mask, spec.a_max, norm="l2")
+
+    small = [p for p in loaded.parameters() if p.data.size <= 8]
+    assert ad.check_gradients(f, small) < 1e-4
+    assert_views(loaded)
+
+    trained, log = train(cfg, store, bundle=loaded, eval_each_epoch=False)
+    assert trained is loaded and len(log.updates) == 3
+    assert_views(loaded)
+    assert loaded.data.tobytes() != bundle.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +420,7 @@ class TestTrain:
         ad.zero_grads(bundle.parameters())
         ad.backward(loss)
         norms = {n: np.linalg.norm(p.grad)
-                 for n, p in bundle.named_params()}
+                 for n, p in bundle.named()}
         assert norms["dt3.head.w"] > 0
         assert norms["noise.in_proj.w"] > 0
 
@@ -359,15 +446,15 @@ class TestTrain:
         params = bundle.parameters()
         ad.zero_grads(params)
         ad.backward(l_diff)
-        head = dict(bundle.named_params())["dt3.head.w"]
+        head = dict(bundle.named())["dt3.head.w"]
         assert np.linalg.norm(head.grad) > 0
 
     def test_dt3_only_leaves_diffusion_at_init(self, store):
         cfg = tiny_config(objective="dt3_only", updates_per_epoch=5)
         bundle, _ = train(cfg, store, eval_each_epoch=False)
         ref = fresh_bundle(cfg, store)
-        ref_params = dict(ref.named_params())
-        for name, p in bundle.named_params():
+        ref_params = dict(ref.named())
+        for name, p in bundle.named():
             if name.startswith("noise."):
                 assert np.array_equal(p.data, ref_params[name].data), name
 
