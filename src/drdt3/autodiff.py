@@ -419,7 +419,7 @@ def _unit_upper_solve(a, g):
     return y
 
 
-def ttt_linear(x, w0, theta_q, theta_k, theta_v, c):
+def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
     """Delta-rule fast-weight pass over a (B, s, d) sequence.
 
     Per token t, with q_t, k_t, v_t = theta_{q,k,v} x_t and step c_t (B, s):
@@ -430,17 +430,23 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c):
     with A_tj = c_j k_t.k_j (j < t), and Z = Q w0^T - M E with
     M_tj = c_j q_t.k_j (j <= t). Row t of the output depends only on
     tokens <= t, bitwise.
+
+    Only the token positions `rows` (a basic slice) are read out: the output
+    is (B, len(rows), d). Every token still writes the fast weight, so keys,
+    values, A and E span all s tokens; queries and M exist only at `rows`.
     """
     xd, w = x.data, w0.data
     b, s, d = xd.shape
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (b, s))[:, None, :]
     # q_t = theta_q x_t per token, so that with c = 0 the output is exactly
     # w0 (theta_q x_t); k and v come from one GEMM.
-    q = np.matmul(theta_q.data, xd[..., None])[..., 0]
+    xr = xd[:, rows]
+    q = np.matmul(theta_q.data, xr[..., None])[..., 0]
     k, v = np.split(xd @ np.concatenate([theta_k.data, theta_v.data]).T, 2,
                     axis=-1)
     kt = np.swapaxes(k, 1, 2)
     lower, strict, _ = _tri_masks(s)
+    lower = lower[rows]
     # np.where with a cached mask is np.tril's own arithmetic.
     a = np.where(strict, np.matmul(k, kt) * c, 0.0)
     m = np.where(lower, np.matmul(q, kt) * c, 0.0)
@@ -457,14 +463,17 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c):
         gq = np.matmul(g, w) - np.matmul(gm, k)
         gk = (np.matmul(ga + np.swapaxes(ga, 1, 2), k) - np.matmul(gr, w)
               - np.matmul(np.swapaxes(gm, 1, 2), q))
-        g2, q2, k2, x2, gq2, gk2, gr2 = (
-            t.reshape(-1, d) for t in (g, q, k, xd, gq, gk, gr))
+        g2, q2, xr2, k2, x2, gq2, gk2, gr2 = (
+            t.reshape(-1, d) for t in (g, q, xr, k, xd, gq, gk, gr))
         acc(w0, g2.T @ q2 - gr2.T @ k2)
-        acc(theta_q, gq2.T @ x2)
+        acc(theta_q, gq2.T @ xr2)
         acc(theta_k, gk2.T @ x2)
         acc(theta_v, gr2.T @ x2)
-        acc(x, (gq2 @ theta_q.data + gk2 @ theta_k.data
-                + gr2 @ theta_v.data).reshape(b, s, d))
+        # Summed in the order (gq + gk) + gr, as when every row is read.
+        gx = (gk2 @ theta_k.data).reshape(b, s, d)
+        gx[:, rows] += (gq2 @ theta_q.data).reshape(gq.shape)
+        gx += (gr2 @ theta_v.data).reshape(b, s, d)
+        acc(x, gx)
     return _node(out, (x, w0, theta_q, theta_k, theta_v), bwd)
 
 

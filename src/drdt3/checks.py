@@ -70,6 +70,15 @@ def check_primitives(rng=None, trials=100):
         c = rng.uniform(0.5, 2.0) * mask
         check("ttt_linear", lambda: sq(ad.ttt_linear(seq, *ttt, c)),
               [seq] + ttt)
+        # Read out at the state tokens only, as dt3 does: two sequences of
+        # 6 tokens (two steps), the first with a 3-token padded prefix.
+        seq6 = _rand(rng, 2, 6, 3, bound=0.5)
+        mask6 = np.array([[0, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1]],
+                         dtype=np.float64)
+        c6 = rng.uniform(0.5, 2.0) * mask6
+        check("ttt_linear",
+              lambda: sq(ad.ttt_linear(seq6, *ttt, c6, slice(1, None, 3))),
+              [seq6] + ttt)
         # Two heads over two sequences of 4 tokens, d = 4.
         tokens = _rand(rng, 2, 4, 4, bound=1.0)
         attn = [_rand(rng, *shape, bound=1.0)

@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError("zeta must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
+        if self.max_episode_len < 1:
+            raise ConfigError("max_episode_len must be >= 1")
         if self.embed_dim < 1:
             raise ConfigError("embed_dim must be >= 1")
         if self.n_heads < 1:

@@ -7,7 +7,9 @@ by one gradient step per real token (the delta rule), evaluated in parallel
 form by the single recorded primitive `autodiff.ttt_linear`; outer-loop
 gradients flow through the inner update. Attention is one recorded
 primitive too, `autodiff.causal_attention`, and every `Linear` records one
-`autodiff.affine`.
+`autodiff.affine`. Attention and the fast weight's writes span all 3K
+tokens; its read-out and the norms after it run only at the K state tokens,
+the rows the head reads.
 
 The context layout is defined by `ContextBatch.set_row`, which fills the
 rollout's context: a zero-padded prefix, then the newest n <= K steps, with
@@ -27,6 +29,9 @@ from .autodiff import DArray
 
 # Tokens per step: (return-to-go, state, action).
 TOKENS_PER_STEP = 3
+# The state tokens, where the head reads each step's action. A basic slice,
+# whose adjoint assigns where an index array would scatter.
+STATE_ROWS = slice(1, None, TOKENS_PER_STEP)
 
 
 class TimestepRangeError(IndexError):
@@ -194,8 +199,9 @@ def causal_attention(x, block, token_mask):
     return ad.layer_norm(x + attn, block.ln1_g, block.ln1_b)
 
 
-def ttt_forward(x, layer, token_mask):
-    """Fast-weight pass: the TTT layer's outputs z (B, s, d), no residual.
+def ttt_forward(x, layer, token_mask, rows=slice(None)):
+    """Fast-weight pass: the TTT layer's outputs z (B, len(rows), d) at the
+    token positions `rows`, no residual.
 
     Per real token t: W <- W - inner_lr * 2 (W k_t - v_t) k_t^T with
     k_t = theta_K x_t, v_t = theta_V x_t; output z_t = W theta_Q x_t.
@@ -205,24 +211,28 @@ def ttt_forward(x, layer, token_mask):
     """
     c = 2.0 * layer.inner_lr * token_mask.astype(np.float64)
     return ad.ttt_linear(x, layer.w0, layer.theta_q, layer.theta_k,
-                         layer.theta_v, c)
+                         layer.theta_v, c, rows)
 
 
 def ttt_sublayer(x, block, token_mask):
-    z = ttt_forward(x, block.ttt, token_mask)
-    return ad.layer_norm(x + z, block.ln2_g, block.ln2_b)
+    """Fast-weight sub-layer with residual add + layer norm, read out at the
+    state tokens only: (B, K, d). Every token of x still writes W."""
+    z = ttt_forward(x, block.ttt, token_mask, STATE_ROWS)
+    return ad.layer_norm(x[:, STATE_ROWS] + z, block.ln2_g, block.ln2_b)
 
 
 def forward_hidden(batch, params):
+    """Final hidden states (B, K, d) at the state tokens. Attention runs
+    over all 3K tokens; everything after it only where the head reads."""
     tokens, token_mask = embed_context(batch, params)
     h = causal_attention(tokens, params.block, token_mask)
-    if not params.dt_mode:
+    if params.dt_mode:
+        h = h[:, STATE_ROWS]
+    else:
         h = ttt_sublayer(h, params.block, token_mask)
-    return ad.layer_norm(h, params.lnf_g, params.lnf_b), token_mask
+    return ad.layer_norm(h, params.lnf_g, params.lnf_b)
 
 
 def predict_coarse_actions_batch(batch, params):
     """Coarse action sequence (B, K, d_a), read at state-token positions."""
-    h, _ = forward_hidden(batch, params)
-    # A basic slice, whose adjoint assigns where an index array scatters.
-    return params.head(h[:, 1::TOKENS_PER_STEP])
+    return params.head(forward_hidden(batch, params))

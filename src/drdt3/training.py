@@ -259,6 +259,13 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
             f"longest trajectory ({store.max_length()})"
         )
     resuming = bundle is not None
+    if resuming and (bundle.env_id, bundle.d_s, bundle.d_a) != \
+            (store.env_id, store.d_s, store.d_a):
+        raise DatasetRejected(
+            f"the checkpoint is for {bundle.env_id} (d_s={bundle.d_s}, "
+            f"d_a={bundle.d_a}), the dataset for {store.env_id} "
+            f"(d_s={store.d_s}, d_a={store.d_a})"
+        )
     log = log if log is not None else MetricsLog()
     update_idx = log.updates[-1][0] + 1 if log.updates else 0
     epoch0 = update_idx // config.updates_per_epoch

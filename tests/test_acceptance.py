@@ -1,8 +1,8 @@
 """Acceptance gate: one test (and one printed PASS/FAIL line) per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the stitching criterion trains two full bundles and takes ~2.5 min
-(137 s on a 2-vCPU VM), and the two-mode sampler criterion takes ~40 s.
+lines; the stitching criterion trains two full bundles and takes ~1.5 min
+(89 s on a 2-vCPU VM), and the two-mode sampler criterion takes ~30 s.
 `pytest -m "not slow"` leaves both out.
 """
 

@@ -101,6 +101,7 @@ class TestTrain:
             ("epochs = 0", "epochs"),
             ("updates_per_epoch = 0", "updates_per_epoch"),
             ("seed = 1\nseed = 1", "seed"),
+            ("max_episode_len = 0", "max_episode_len"),
             ("cond_hidden = 0", "cond_hidden"),
             ("mlp_expansion = 0", "mlp_expansion"),
             ("mlp_expansion = -1", "mlp_expansion"),
@@ -206,6 +207,36 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "updates.csv, line 7" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["other-env", "other-dims"])
+    def test_resume_over_other_dataset_exit_one(self, workspace, tmp_path,
+                                                capsys, case):
+        """A checkpoint only resumes over a dataset of its own env and
+        dims; pointreach episodes (50 steps) fit the longer table."""
+        from drdt3.bundle import PolicyBundle, load_bundle, save_bundle
+        from drdt3.envs import generate_dataset
+        from drdt3.store_io import save_store
+        cfg, out = tmp_path / "long.cfg", tmp_path / case
+        cfg.write_text(TINY_CFG.replace("max_episode_len = 32",
+                                        "max_episode_len = 64"))
+        args = ["train", "--config", str(cfg),
+                "--data", str(workspace / "stitch.bin"), "--out", str(out)]
+        assert main(args) == 0
+        if case == "other-env":
+            args[4] = str(tmp_path / "pointreach.bin")
+            save_store(generate_dataset("pointreach", "medium", 2, seed=0),
+                       args[4])
+        else:
+            b = load_bundle(out / "bundle.drdt3")
+            d_s = b.d_s + 1
+            save_bundle(PolicyBundle(b.config, b.env_id, d_s, b.d_a,
+                                     np.zeros(d_s), np.ones(d_s), b.rtg_norm,
+                                     b.initial_return, b.seed),
+                        out / "bundle.drdt3")
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint is for" in err and "Traceback" not in err
+
     def test_resume_without_checkpoint_fails(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
                    "--data", str(workspace / "stitch.bin"),
@@ -265,6 +296,21 @@ class TestEval:
                             lambda *args, **kwargs: (expert, None, 0.0))
         assert main(["eval", "--bundle", str(path), "--episodes", "2"]) == 0
         assert "success rate: 1.000" in capsys.readouterr().out
+
+    def test_zero_episode_len_bundle_exit_one(self, tmp_path, capsys):
+        """A bundle whose config allows no timestep is rejected on load."""
+        import dataclasses
+        from drdt3.bundle import fresh_bundle, save_bundle
+        from drdt3.config import parse_config_text
+        from drdt3.envs import generate_dataset
+        store = generate_dataset("stitchchain", "stitch", 2, seed=0)
+        cfg = dataclasses.replace(parse_config_text(TINY_CFG),
+                                  max_episode_len=0)
+        path = tmp_path / "zero.drdt3"
+        save_bundle(fresh_bundle(cfg, store), path)
+        assert main(["eval", "--bundle", str(path), "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "max_episode_len" in err and "Traceback" not in err
 
     def test_missing_bundle_exit_one(self, tmp_path):
         rc = main(["eval", "--bundle", str(tmp_path / "none.drdt3")])

@@ -361,6 +361,7 @@ class TestTTTOracle:
     @pytest.mark.parametrize("inner_lr", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_token_update_rule(self, seed, inner_lr):
+        """Every row, and the state rows alone, as dt3 reads them."""
         rng = np.random.default_rng(seed)
         b, s, d = (int(n) for n in rng.integers(1, [5, 13, 9], endpoint=True))
         layer = TTTLinearLayer.init(rng, d, inner_lr, std=0.5 / np.sqrt(d))
@@ -369,8 +370,53 @@ class TestTTTOracle:
         mask = np.ones((b, s), bool)
         for row, pad in enumerate(rng.integers(0, s, size=b, endpoint=True)):
             mask[row, :pad] = False
-        z = ttt_forward(DArray(x), layer, mask).data
-        assert np.abs(z - _per_token_oracle(x, layer, mask)).max() < 1e-12
+        oracle = _per_token_oracle(x, layer, mask)
+        for rows in (slice(None), slice(1, None, 3)):
+            z = ttt_forward(DArray(x), layer, mask, rows).data
+            assert z.shape == oracle[:, rows].shape
+            assert np.abs(z - oracle[:, rows]).max(initial=0.0) < 1e-12
+
+
+def _composed_predict(batch, params):
+    """The all-rows composition: the TTT read-out and both norms at all 3K
+    tokens, then the head's slice of the state tokens."""
+    tokens, mask = embed_context(batch, params)
+    h = causal_attention(tokens, params.block, mask)
+    if not params.dt_mode:
+        z = ttt_forward(h, params.block.ttt, mask)
+        h = ad.layer_norm(h + z, params.block.ln2_g, params.block.ln2_b)
+    h = ad.layer_norm(h, params.lnf_g, params.lnf_b)
+    return params.head(h[:, 1::3])
+
+
+class TestStateRowsEqualAllRows:
+    """`predict_coarse_actions_batch` runs the TTT read-out and the norms
+    after it only at the state tokens; the all-rows composition is its
+    oracle."""
+
+    @pytest.mark.parametrize("dt_mode", [False, True], ids=["ttt", "dt"])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_predictions_and_gradients(self, k, dt_mode):
+        rng = np.random.default_rng(40 + k)
+        params = DT3Params(rng, 3, 2, tiny_cfg(context_len=k,
+                                               dt_mode=dt_mode))
+        for p in params.parameters():
+            p.data[...] += rng.normal(0.0, 0.3, p.shape)
+        b = 4
+        pad_mask = np.arange(k) >= rng.integers(0, k, size=b)[:, None]
+        batch = ContextBatch(rng.uniform(-1, 1, (b, k)),
+                             rng.uniform(-1, 1, (b, k, 3)),
+                             rng.uniform(-1, 1, (b, k, 2)),
+                             np.tile(np.arange(k), (b, 1)), pad_mask)
+        inputs = params.parameters()
+        cot = rng.standard_normal((b, k, 2))
+        fast = _outputs_and_grads(
+            lambda: predict_coarse_actions_batch(batch, params), inputs, cot)
+        full = _outputs_and_grads(
+            lambda: _composed_predict(batch, params), inputs, cot)
+        if k == 6:
+            assert fast[0].tobytes() == full[0].tobytes()
+        _assert_close(fast, full)
 
 
 def _count_nodes(out):

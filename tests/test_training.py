@@ -7,7 +7,7 @@ from drdt3 import autodiff as ad
 from drdt3 import checks
 from drdt3.autodiff import DArray
 from drdt3.bundle import fresh_bundle, load_bundle, save_bundle
-from drdt3.config import TrainConfig
+from drdt3.config import ConfigError, TrainConfig, parse_config_text
 from drdt3.diffusion import diffusion_loss, vp_schedule
 from drdt3.dt3 import ContextBatch, predict_coarse_actions_batch
 from drdt3.envs import generate_dataset, make_env_spec
@@ -382,6 +382,24 @@ def test_no_adjoint_writes_into_its_incoming_gradient(store):
     # Every recorded primitive of the engine took part.
     assert ran == {name.removeprefix("primitive.")
                    for name, _, _ in checks.check_primitives(trials=1)}
+
+
+# ---------------------------------------------------------------------------
+# TrainConfig
+# ---------------------------------------------------------------------------
+
+class TestConfigValidate:
+    """The time table needs at least one row, or no timestep fits it."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_episode_len_below_one_rejected(self, value):
+        with pytest.raises(ConfigError, match="max_episode_len"):
+            TrainConfig(max_episode_len=value).validate()
+        assert TrainConfig(max_episode_len=1).validate().max_episode_len == 1
+
+    def test_parser_rejects_zero_max_episode_len(self):
+        with pytest.raises(ConfigError, match="max_episode_len"):
+            parse_config_text("embed_dim = 8\nmax_episode_len = 0\n")
 
 
 # ---------------------------------------------------------------------------
