@@ -62,7 +62,10 @@ def cmd_train(args):
         store = load_store(args.data)
     except (StoreFormatError, OSError) as e:
         return _fail(e)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        return _fail(f"cannot write the run to {args.out}: {e}")
     bundle0, log0 = None, None
     bundle_path = os.path.join(args.out, "bundle.drdt3")
     if getattr(args, "resume", False):
@@ -114,6 +117,9 @@ def cmd_eval(args):
         bundle = load_bundle(args.bundle)
     except (BundleFormatError, OSError) as e:
         return _fail(e)
+    # Checked before the episodes run, not after.
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        return _fail(f"cannot write {args.out}: its directory does not exist")
     try:
         returns, successes, g0s = evaluate_episodes(
             bundle, args.episodes, args.seed, rtg_scale=args.eta,
@@ -127,11 +133,15 @@ def cmd_eval(args):
     print(f"success rate: {successes.mean():.3f}")
     print(f"normalized score: {norm:.2f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["episode", "return", "success", "g0"])
-            rows = np.column_stack([returns, successes, g0s]).tolist()
-            w.writerows([ep, *map(repr, row)] for ep, row in enumerate(rows))
+        try:
+            with open(args.out, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["episode", "return", "success", "g0"])
+                rows = np.column_stack([returns, successes, g0s]).tolist()
+                w.writerows([ep, *map(repr, row)]
+                            for ep, row in enumerate(rows))
+        except OSError as e:
+            return _fail(f"cannot write {args.out}: {e}")
     return 0
 
 

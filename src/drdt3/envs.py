@@ -4,6 +4,22 @@ PointReach: 2-D point mass steered toward a fixed goal (dense reward).
 StitchChain: 1-D corridor with a single sparse reward at the far end; its
 "stitch" dataset splits the route into two trajectory families so that no
 single dataset episode solves the task from the true start.
+
+Each env has one batched `dynamics` over (E, .) states; `step` is its
+one-episode case. Offline episodes (the reference scores, the sigma
+calibration and every dataset tier) are stepped by one loop,
+`run_lockstep`, and reproduce bit for bit what a one-episode-at-a-time
+loop over one shared random stream gives:
+- a pointreach `medium` or `medium-replay` dataset runs as one batch,
+  since every episode lasts t_max steps and its noise can be drawn up
+  front;
+- a stitchchain noisy-expert tier, and the stitch tier's family A, run one
+  episode at a time: an episode's length, or its state, decides how much
+  of the stream it draws, and so where the next episode starts;
+- the stitch tier's family B draws nothing and runs as one batch;
+- the scorers run every episode a random stream could start at once
+  (`lane_returns`).
+Evaluation rollouts (`rollout`) step one episode at a time.
 """
 
 from __future__ import annotations
@@ -192,10 +208,6 @@ class PointReach:
             a = a + noise
         return np.clip(a, -1.0, 1.0)
 
-    def expert_action(self, state, rng=None, sigma=0.0):
-        noise = rng.normal(0.0, sigma, size=(1, 2)) if sigma > 0.0 else None
-        return self.expert_actions(np.asarray(state)[None], noise)[0]
-
 
 class StitchChain:
     """1-D corridor on [0, 8]: the action shifts the position, reward 1.0 is
@@ -249,10 +261,6 @@ class StitchChain:
             a = a + noise
         return np.clip(a, -1.0, 1.0)
 
-    def expert_action(self, state, rng=None, sigma=0.0):
-        noise = rng.normal(0.0, sigma, size=(1, 1)) if sigma > 0.0 else None
-        return self.expert_actions(np.asarray(state).reshape(1, 1), noise)[0]
-
 
 _ENVS = {"pointreach": PointReach, "stitchchain": StitchChain}
 _SPEC_CACHE = {}
@@ -269,23 +277,38 @@ def make_env(env_id):
     return env_class(env_id)()
 
 
-def run_lockstep(env_cls, policy, n):
-    """Step n episodes from the start state in lockstep with one batched
-    `env_cls.dynamics` call per step; `policy(observations, t)` gives the
-    (n, d_a) actions of step t. An episode that is done takes no further
-    reward. Returns the (n, t_max) rewards and the (n,) episode lengths."""
+def run_lockstep(env_cls, policy, n, start=None, record=False):
+    """Step n episodes in lockstep with one batched `env_cls.dynamics` call
+    per step; `policy(observations, t)` gives the (n, d_a) actions of step
+    t. Episodes start from the (n, d_s) observations `start`, or from the
+    env's start state. An episode that is done takes no further reward.
+    Returns the (n, t_max) rewards and the (n,) episode lengths; with
+    `record`, also the (n, t_max, d_s) observations each step acted on and
+    the (n, t_max, d_a) actions, of which episode j's first `lengths[j]`
+    rows are its own."""
+    d_s, t_max = env_cls.d_s, env_cls.t_max
     state = np.zeros((n, env_cls.d_state))
-    rewards = np.zeros((n, env_cls.t_max))
+    if start is not None:
+        state[:, :d_s] = start
+    rewards = np.zeros((n, t_max))
     lengths = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    for t in range(env_cls.t_max):
-        state, r, done = env_cls.dynamics(
-            state, t, policy(state[:, :env_cls.d_s], t))
-        rewards[:, t] = np.where(alive, r, 0.0)
+    if record:
+        observations = np.zeros((n, t_max, d_s))
+        actions = np.zeros((n, t_max, env_cls.d_a))
+    for t in range(t_max):
+        obs = state[:, :d_s]
+        action = policy(obs, t)
+        if record:
+            observations[:, t], actions[:, t] = obs, action
+        state, r, done = env_cls.dynamics(state, t, action)
+        np.copyto(rewards[:, t], r, where=alive)
         lengths += alive
         alive &= ~done
         if not alive.any():
             break
+    if record:
+        return rewards, lengths, observations, actions
     return rewards, lengths
 
 
@@ -349,17 +372,12 @@ def make_env_spec(env_id):
 # Dataset generation
 # ---------------------------------------------------------------------------
 
-def _record_episode(env, policy, rng, start=None):
-    states, actions, rewards = [], [], []
-    state = env.reset(start=start)
-    done = False
-    while not done:
-        a = policy(state, rng)
-        states.append(state)
-        actions.append(np.atleast_1d(a))
-        state, r, done = env.step(a)
-        rewards.append(r)
-    return Trajectory(np.array(states), np.array(actions), np.array(rewards))
+def _record(env_cls, policy, n, start=None):
+    """n episodes recorded in lockstep by `run_lockstep`, as Trajectories."""
+    rewards, lengths, observations, actions = run_lockstep(
+        env_cls, policy, n, start, record=True)
+    return [Trajectory(observations[j, :m], actions[j, :m], rewards[j, :m])
+            for j, m in enumerate(lengths)]
 
 
 def _sigma_returns(env_id, rng, episodes=40):
@@ -390,31 +408,37 @@ def generate_dataset(env_id, tier, n_traj, seed):
         raise ValueError("n_traj must be >= 1")
     rng = np.random.default_rng(seed)
     spec = make_env_spec(env_id)
-    trajs = []
+    env = env_class(env_id)
 
     if tier == "stitch":
         if env_id != "stitchchain":
             raise ValueError("stitch tier is only defined for stitchchain")
-        for j in range(n_traj):
-            env = make_env(env_id)
-            if j % 2 == 0:
-                # Family A: 0 -> 4, then wander below 5. Return 0.
-                def policy(s, g):
-                    pos = s[0]
-                    if pos < 4.0 and g.uniform() < 0.97:
-                        return np.array([1.0])
-                    return np.array([np.clip(g.normal(0.0, 0.25), -0.45, 0.45)
-                                     if pos < 4.5 else
-                                     np.clip(g.normal(-0.2, 0.2), -0.45, 0.1)])
-                traj = _record_episode(env, policy, rng)
-                assert traj.ret == 0.0, "family A must never reach the goal"
-            else:
-                # Family B: teleported start at 4, straight to 8. Return 1.
-                traj = _record_episode(
-                    env, lambda s, g: np.array([1.0]), rng, start=4.0
-                )
-                assert traj.ret == 1.0
-            trajs.append(traj)
+
+        # Family A: 0 -> 4, then wander below 5. Return 0. Its draws depend
+        # on the state, and each episode continues the stream where the one
+        # before stopped, so its episodes run one at a time, in order.
+        full_speed = np.ones((1, 1))
+
+        def family_a(obs, t):
+            pos = obs[0, 0]
+            if pos < 4.0 and rng.uniform() < 0.97:
+                return full_speed
+            # min(max(...)) is np.clip on one float, at a quarter the cost.
+            return np.array([[min(max(rng.normal(0.0, 0.25), -0.45), 0.45)
+                              if pos < 4.5 else
+                              min(max(rng.normal(-0.2, 0.2), -0.45), 0.1)]])
+
+        trajs = [None] * n_traj
+        trajs[0::2] = [_record(env, family_a, 1)[0]
+                       for _ in range(0, n_traj, 2)]
+        # Family B: teleported start at 4, straight to 8. Return 1. It draws
+        # nothing, so all its episodes run as one batch.
+        n_b = n_traj // 2
+        trajs[1::2] = _record(env, lambda obs, t: np.ones((n_b, 1)), n_b,
+                              start=np.full((n_b, 1), 4.0))
+        assert all(t.ret == 0.0 for t in trajs[0::2]), \
+            "family A must never reach the goal"
+        assert all(t.ret == 1.0 for t in trajs[1::2])
         assert not any(t.states[0, 0] == 0.0 and t.ret > 0.0 for t in trajs), \
             "stitch dataset must not contain a full solution"
         return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
@@ -429,11 +453,22 @@ def generate_dataset(env_id, tier, n_traj, seed):
     else:
         raise ValueError(f"unknown tier {tier!r} for env {env_id!r}")
 
-    for sigma_j in sigmas:
-        env = make_env(env_id)
-        trajs.append(_record_episode(
-            env, lambda s, g: env.expert_action(s, g, sigma_j), rng
-        ))
+    if env.fixed_length:
+        # Every episode draws t_max rows, so all of them run as one batch on
+        # noise drawn up front in the order a one-at-a-time loop draws it.
+        # -0.0 is the exact additive identity for a sigma that draws nothing.
+        noise = np.full((n_traj, env.t_max, env.d_a), -0.0)
+        for j, sigma_j in enumerate(sigmas):
+            if sigma_j > 0.0:
+                noise[j] = rng.normal(0.0, sigma_j, size=(env.t_max, env.d_a))
+        trajs = _record(
+            env, lambda obs, t: env.expert_actions(obs, noise[:, t]), n_traj)
+    else:
+        # An episode's length sets where the next one starts in the stream.
+        trajs = [_record(env, lambda obs, t: env.expert_actions(
+                     obs, rng.normal(0.0, sigma_j, size=(1, env.d_a))
+                     if sigma_j > 0.0 else None), 1)[0]
+                 for sigma_j in sigmas]
     return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
 
 

@@ -237,6 +237,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "checkpoint is for" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["existing-file", "under-a-file"])
+    def test_unusable_out_exit_one(self, workspace, tmp_path, capsys, case):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker if case == "existing-file" else blocker / "sub"
+        rc = main(["train", "--config", str(workspace / "tiny.cfg"),
+                   "--data", str(workspace / "stitch.bin"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and str(out) in err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_resume_without_checkpoint_fails(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
                    "--data", str(workspace / "stitch.bin"),
@@ -315,6 +327,19 @@ class TestEval:
     def test_missing_bundle_exit_one(self, tmp_path):
         rc = main(["eval", "--bundle", str(tmp_path / "none.drdt3")])
         assert rc == 1
+
+    def test_out_in_missing_dir_exit_one(self, workspace, tmp_path, capsys,
+                                         monkeypatch):
+        """The output path is checked before any episode runs."""
+        from drdt3 import cli
+        monkeypatch.setattr(cli, "evaluate_episodes", None)  # must not run
+        out = tmp_path / "missing" / "x.csv"
+        rc = main(["eval", "--bundle", str(workspace / "run" / "bundle.drdt3"),
+                   "--episodes", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and str(out) in captured.err
+        assert not out.parent.exists()
 
 
 class TestCheck:

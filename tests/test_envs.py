@@ -80,6 +80,55 @@ def sequential_sigma_returns(env_id, rng, episodes=40):
     return returns
 
 
+def sequential_record_episode(env, policy, rng, start=None):
+    """One episode, one `env.step` at a time."""
+    states, actions, rewards = [], [], []
+    state = env.reset(start=start)
+    done = False
+    while not done:
+        a = policy(state, rng)
+        states.append(state)
+        actions.append(np.atleast_1d(a))
+        state, r, done = env.step(a)
+        rewards.append(r)
+    return Trajectory(np.array(states), np.array(actions), np.array(rewards))
+
+
+def sequential_generate_dataset(env_id, tier, n_traj, seed):
+    """Every tier recorded one episode at a time from one shared stream.
+    The sigma calibration is the lockstep one, which
+    `TestLockstepLanes` holds equal to `sequential_calibrate`."""
+    rng = np.random.default_rng(seed)
+    spec = make_env_spec(env_id)
+    env_cls = SEQUENTIAL[env_id]
+    trajs = []
+    if tier == "stitch":
+        for j in range(n_traj):
+            if j % 2 == 0:
+                def policy(s, g):
+                    pos = s[0]
+                    if pos < 4.0 and g.uniform() < 0.97:
+                        return np.array([1.0])
+                    return np.array([np.clip(g.normal(0.0, 0.25), -0.45, 0.45)
+                                     if pos < 4.5 else
+                                     np.clip(g.normal(-0.2, 0.2), -0.45, 0.1)])
+                trajs.append(sequential_record_episode(env_cls(), policy, rng))
+            else:
+                trajs.append(sequential_record_episode(
+                    env_cls(), lambda s, g: np.array([1.0]), rng, start=4.0))
+    else:
+        target = spec.random_score + (spec.expert_score
+                                      - spec.random_score) / 3.0
+        sigma = envs._calibrate_medium_sigma(env_id, rng, target)
+        sigmas = ([sigma] * n_traj if tier == "medium" else
+                  list(np.linspace(max(2 * sigma, 1.0), sigma, n_traj)))
+        for sigma_j in sigmas:
+            env = env_cls()
+            trajs.append(sequential_record_episode(
+                env, lambda s, g: env.expert_action(s, g, sigma_j), rng))
+    return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
+
+
 def sequential_calibrate(env_id, rng, target):
     best_sigma, best_gap = 0.0, np.inf
     for sigma, r in zip(np.linspace(0.0, 30.0, 31),
@@ -267,15 +316,18 @@ class TestBatchedDynamics:
 
     @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
     def test_step_and_expert_equal_sequential(self, env_id):
-        """Whole noisy-expert episodes: the same states, actions, rewards,
-        done flags and draws as the one-episode oracle."""
+        """Whole noisy-expert episodes, the expert acting on (1, d_s) rows:
+        the same states, actions, rewards, done flags and draws as the
+        one-episode oracle."""
         for sigma in (0.0, 0.7):
             new, old = make_env(env_id), SEQUENTIAL[env_id]()
             g_new, g_old = (np.random.default_rng(3) for _ in range(2))
             s_new, s_old = new.reset(), old.reset()
             done = False
             while not done:
-                a_new = new.expert_action(s_new, g_new, sigma)
+                noise = (g_new.normal(0.0, sigma, size=(1, new.d_a))
+                         if sigma > 0.0 else None)
+                a_new = new.expert_actions(s_new[None], noise)[0]
                 a_old = old.expert_action(s_old, g_old, sigma)
                 assert a_new.tobytes() == a_old.tobytes()
                 s_new, r_new, done = new.step(a_new)
@@ -365,6 +417,20 @@ class TestNormalizedScore:
 
 
 class TestGenerateDataset:
+    @pytest.mark.parametrize("env_id,tier", [
+        ("pointreach", "medium"), ("pointreach", "medium-replay"),
+        ("stitchchain", "stitch"), ("stitchchain", "medium"),
+        ("stitchchain", "medium-replay")])
+    @pytest.mark.parametrize("n_traj", [1, 7, 40])
+    def test_bitwise_equal_sequential_recorder(self, env_id, tier, n_traj):
+        for seed in range(5):
+            got = generate_dataset(env_id, tier, n_traj, seed)
+            want = sequential_generate_dataset(env_id, tier, n_traj, seed)
+            assert got.lengths.tobytes() == want.lengths.tobytes(), seed
+            for field in ("step_states", "step_actions", "step_rtgs"):
+                assert (getattr(got, field).tobytes()
+                        == getattr(want, field).tobytes()), (seed, field)
+
     def test_stitch_no_full_solution(self):
         store = generate_dataset("stitchchain", "stitch", 20, seed=0)
         assert not any(t.states[0, 0] == 0.0 and t.ret > 0.0
