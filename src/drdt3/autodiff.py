@@ -2,12 +2,14 @@
 
 Every operation that participates in training is a recorded primitive with a
 hand-written adjoint. The engine holds only the primitives the model records,
-and `drdt3 check` finite-difference checks each of them. All indexing goes
-through one gather, `take_slice` (`DArray.__getitem__`). The graph is built
-eagerly; `backward` walks it in reverse topological order, visiting each node
-exactly once. Leaf gradients accumulate across backward calls until
-`zero_grad`, which zeroes an existing gradient in place. Inside
-`with no_grad():` nothing is recorded, so inference builds no graph.
+and `drdt3 check` finite-difference checks each of them. Slicing goes
+through `take_slice` (`DArray.__getitem__`), which takes ints and slices
+only; the one table lookup, of the timestep embeddings, is part of
+`embed_tokens`. The graph is built eagerly; `backward` walks it in reverse
+topological order, visiting each node exactly once. Leaf gradients
+accumulate across backward calls until `zero_grad`, which zeroes an existing
+gradient in place. Inside `with no_grad():` nothing is recorded, so
+inference builds no graph.
 """
 
 from __future__ import annotations
@@ -217,6 +219,51 @@ def affine(x, w, b):
     return _node(out, (x, w, b), bwd)
 
 
+def embed_tokens(xs, ws, bs, table, timesteps):
+    """Interleaved token embeddings of M modalities, a (B, M K, d) output:
+    token M k + m of row b is xs[m][b, k] @ ws[m] + bs[m] + table[t], with
+    t = timesteps[b, k].
+
+    The inputs `xs` (M plain (B, K, d_m) arrays) and the integer
+    `timesteps` (B, K) are batch constants, never recorded. The adjoint
+    gives each projection its `affine` gradient, and the table the M token
+    gradients summed in modality order, scattered into its rows with
+    `np.bincount` over t d + column. bincount adds in index order from 0.0,
+    as `np.add.at` into zeros does, so a repeated timestep accumulates.
+    """
+    tab = table.data
+    n, d = tab.shape
+    b, k = timesteps.shape
+    for x, w, bias in zip(xs, ws, bs):
+        if x.shape != (b, k, w.data.shape[0]) or w.data.shape[1] != d \
+                or bias.data.shape != (d,):
+            raise ShapeError(
+                f"embed_tokens shapes disagree: x {x.shape}, w {w.shape}, "
+                f"b {bias.shape}, table {tab.shape}, timesteps {(b, k)}")
+    m_tok = len(xs)
+    temb = tab[timesteps]
+    out = np.empty((b, k, m_tok, d))
+    for m, (x, w, bias) in enumerate(zip(xs, ws, bs)):
+        proj = np.matmul(x, w.data)
+        proj += bias.data
+        np.add(proj, temb, out=out[:, :, m])
+
+    def bwd(g, acc):
+        g = g.reshape(b, k, m_tok, d)
+        for m, (x, w, bias) in enumerate(zip(xs, ws, bs)):
+            g2 = g[:, :, m].reshape(-1, d)
+            acc(w, x.reshape(-1, w.data.shape[0]).T @ g2)
+            acc(bias, g2.sum(axis=0))
+        gt = g[:, :, 0]
+        for m in range(1, m_tok):
+            gt = gt + g[:, :, m]
+        cols = (timesteps[..., None] * d + np.arange(d)).reshape(-1)
+        acc(table, np.bincount(cols, weights=gt.reshape(-1),
+                               minlength=n * d).reshape(n, d))
+    return _node(out.reshape(b, k * m_tok, d),
+                 tuple(ws) + tuple(bs) + (table,), bwd)
+
+
 def reshape(a, shape):
     old = a.data.shape
 
@@ -244,20 +291,15 @@ def _is_basic_key(key):
 
 
 def take_slice(a, key):
-    """`a[key]` for any numpy key: ints, slices, or integer index arrays.
+    """`a[key]` for a basic key of ints and slices, which selects each
+    element at most once, so the adjoint assigns `g` into a zero buffer.
+    An index array raises `ShapeError`."""
+    if not _is_basic_key(key):
+        raise ShapeError(f"take_slice takes ints and slices only, got {key!r}")
 
-    This one gather serves slicing, row lookups in an embedding table and
-    reads at fixed positions. The adjoint writes `g` into a zero buffer:
-    by assignment for a key of ints and slices, and with `np.add.at` for an
-    index array, so an index that occurs more than once accumulates its
-    gradient.
-    """
     def bwd(g, acc):
         buf = np.zeros_like(a.data)
-        if _is_basic_key(key):
-            buf[key] = g
-        else:
-            np.add.at(buf, key, g)
+        buf[key] = g
         acc(a, buf)
     return _node(a.data[key], (a,), bwd)
 
@@ -291,8 +333,13 @@ def gelu(a):
     return _node(a.data * phi_cdf, (a,), bwd)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize over the last dimension, then apply the affine (gain, bias)."""
+def layer_norm(x, gain, bias, eps=1e-5, residual=None):
+    """Normalize over the last dimension, then apply the affine (gain, bias).
+
+    With a `residual` of x's shape this is layer_norm(x + residual) as one
+    node: the sum is a temporary, not kept for the adjoint, and both
+    operands get its gradient.
+    """
     d = x.data.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm over an empty last dimension")
@@ -301,11 +348,15 @@ def layer_norm(x, gain, bias, eps=1e-5):
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match "
             f"feature dim {d}"
         )
+    if residual is not None and residual.data.shape != x.data.shape:
+        raise ShapeError(f"layer_norm residual {residual.shape} does not "
+                         f"match input {x.shape}")
+    y = x.data if residual is None else x.data + residual.data
     # np.add.reduce(..) / d is the arithmetic of ndarray.mean without its
     # dispatch overhead, and the in-place steps do the arithmetic of the
     # plain expressions, in the same order, with fewer temporaries.
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    xhat = x.data - mu
+    mu = np.add.reduce(y, axis=-1, keepdims=True) / d
+    xhat = y - mu
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -326,7 +377,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
         gx -= t
         gx *= inv
         acc(x, gx)
-    return _node(out, (x, gain, bias), bwd)
+        if residual is not None:
+            acc(residual, gx)
+    inputs = (x, gain, bias) if residual is None else (x, gain, bias, residual)
+    return _node(out, inputs, bwd)
 
 
 def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
@@ -379,6 +433,7 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
         np.matmul(gs, k, out=gq)
         np.matmul(gs.swapaxes(-1, -2), q, out=gk)
         np.matmul(p.swapaxes(-1, -2), go, out=gv)
+        del go, gs                        # freed before the two GEMMs below
         gqkv = gqkv.reshape(b, s, 3 * d)
         gqkv2 = gqkv.reshape(-1, 3 * d)
         gw = np.split(xd.reshape(-1, d).T @ gqkv2, 3, axis=1)
@@ -439,11 +494,14 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
     b, s, d = xd.shape
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (b, s))[:, None, :]
     # q_t = theta_q x_t per token, so that with c = 0 the output is exactly
-    # w0 (theta_q x_t); k and v come from one GEMM.
+    # w0 (theta_q x_t); k and v come from one GEMM. The adjoint keeps a copy
+    # of k, not a view that would pin the (B, s, 2d) product: it never
+    # reads v.
     xr = xd[:, rows]
     q = np.matmul(theta_q.data, xr[..., None])[..., 0]
     k, v = np.split(xd @ np.concatenate([theta_k.data, theta_v.data]).T, 2,
                     axis=-1)
+    k = k.copy()
     kt = np.swapaxes(k, 1, 2)
     lower, strict, _ = _tri_masks(s)
     lower = lower[rows]

@@ -49,6 +49,9 @@ def check_primitives(rng=None, trials=100):
         g, bias = _rand(rng, 5), _rand(rng, 5)
         check("layer_norm", lambda: sq(ad.layer_norm(x, g, bias)),
               [x, g, bias])
+        check("layer_norm",
+              lambda: sq(ad.layer_norm(x, g, bias, residual=y)),
+              [x, g, bias, y])
         check("gelu", lambda: ad.sum_all(ad.gelu(x)), [x])
         check("absval", lambda: ad.sum_all(ad.absval(ad.square(x) + 0.5)),
               [x])
@@ -57,11 +60,20 @@ def check_primitives(rng=None, trials=100):
         check("reshape", lambda: sq(ad.reshape(x, (5, 2))), [x])
         check("concat", lambda: sq(ad.concat([x, y], axis=-1)), [x, y])
         check("take_slice", lambda: sq(x[:, 1:4]), [x])
-        # An integer-array key with a repeated row, as in a table lookup.
+        # Two modalities over two rows of 3 steps into a 6-row table: row 0
+        # has a one-step padded prefix (timestep 0, as `set_row` leaves
+        # it), row 1 repeats a timestep.
         table = _rand(rng, 6, 3)
-        idx = rng.integers(0, 6, size=4)
-        idx[-1] = idx[0]
-        check("take_slice", lambda: sq(table[idx]), [table])
+        steps = rng.integers(0, 6, size=(2, 3))
+        steps[0, 0], steps[1, 2] = 0, steps[1, 0]
+        inputs = (rng.uniform(-2, 2, (2, 3, 1)), rng.uniform(-2, 2, (2, 3, 2)))
+        inputs[0][0, 0] = inputs[1][0, 0] = 0.0
+        proj_w = [_rand(rng, 1, 3), _rand(rng, 2, 3)]
+        proj_b = [_rand(rng, 3), _rand(rng, 3)]
+        check("embed_tokens",
+              lambda: sq(ad.embed_tokens(inputs, proj_w, proj_b, table,
+                                         steps)),
+              proj_w + proj_b + [table])
         # Two sequences of 4 tokens, the first with a 2-token padded prefix;
         # small inputs keep the inner recurrence well inside its stable range.
         seq = _rand(rng, 2, 4, 3, bound=0.5)

@@ -6,10 +6,12 @@ state-token positions. The fast-weight sub-layer updates its hidden matrix W
 by one gradient step per real token (the delta rule), evaluated in parallel
 form by the single recorded primitive `autodiff.ttt_linear`; outer-loop
 gradients flow through the inner update. Attention is one recorded
-primitive too, `autodiff.causal_attention`, and every `Linear` records one
-`autodiff.affine`. Attention and the fast weight's writes span all 3K
-tokens; its read-out and the norms after it run only at the K state tokens,
-the rows the head reads.
+primitive too, `autodiff.causal_attention`, and so is the embedding,
+`autodiff.embed_tokens`: the three modality projections, the timestep
+lookup and the interleave. The head records one `autodiff.affine`. Each
+sub-layer ends in one `autodiff.layer_norm` with its residual operand.
+Attention and the fast weight's writes span all 3K tokens; its read-out and
+the norms after it run only at the K state tokens, the rows the head reads.
 
 The context layout is defined by `ContextBatch.set_row`, which fills the
 rollout's context: a zero-padded prefix, then the newest n <= K steps, with
@@ -158,12 +160,12 @@ class DT3Params(ad.Params):
 # ---------------------------------------------------------------------------
 
 def embed_context(batch, params):
-    """Project each modality, add timestep embeddings, interleave per step.
+    """Project each modality, add timestep embeddings, interleave per step,
+    in one recorded `autodiff.embed_tokens`.
 
     Returns (tokens, token_mask): tokens (B, 3K, d) with per-step order
     (rtg, state, action); token_mask (B, 3K) bool.
     """
-    b, k = batch.rtgs.shape
     # Indexing would wrap a negative timestep silently; reject it here.
     if batch.timesteps.min() < 0 or \
             batch.timesteps.max() >= params.time_table.shape[0]:
@@ -171,16 +173,12 @@ def embed_context(batch, params):
             f"timesteps outside embedding table of length "
             f"{params.time_table.shape[0]}"
         )
-    temb = params.time_table[batch.timesteps]                    # (B,K,d)
-    tok_rtg = params.proj_rtg(DArray(batch.rtgs[..., None])) + temb
-    tok_state = params.proj_state(DArray(batch.states)) + temb
-    tok_action = params.proj_action(DArray(batch.actions)) + temb
-    m = TOKENS_PER_STEP
-    d = params.time_table.shape[1]
-    stacked = ad.concat([ad.reshape(t, (b, k, 1, d))
-                         for t in (tok_rtg, tok_state, tok_action)], axis=2)
-    tokens = ad.reshape(stacked, (b, m * k, d))
-    token_mask = np.repeat(batch.pad_mask, m, axis=1)
+    proj = (params.proj_rtg, params.proj_state, params.proj_action)
+    tokens = ad.embed_tokens(
+        (batch.rtgs[..., None], batch.states, batch.actions),
+        [p.w for p in proj], [p.b for p in proj], params.time_table,
+        batch.timesteps)
+    token_mask = np.repeat(batch.pad_mask, TOKENS_PER_STEP, axis=1)
     return tokens, token_mask
 
 
@@ -196,7 +194,7 @@ def causal_attention(x, block, token_mask):
     attn = ad.causal_attention(x, block.wq.w, block.wq.b, block.wk.w,
                                block.wk.b, block.wv.w, block.wv.b, block.wo.w,
                                block.wo.b, token_mask, block.n_heads)
-    return ad.layer_norm(x + attn, block.ln1_g, block.ln1_b)
+    return ad.layer_norm(attn, block.ln1_g, block.ln1_b, residual=x)
 
 
 def ttt_forward(x, layer, token_mask, rows=slice(None)):
@@ -218,7 +216,8 @@ def ttt_sublayer(x, block, token_mask):
     """Fast-weight sub-layer with residual add + layer norm, read out at the
     state tokens only: (B, K, d). Every token of x still writes W."""
     z = ttt_forward(x, block.ttt, token_mask, STATE_ROWS)
-    return ad.layer_norm(x[:, STATE_ROWS] + z, block.ln2_g, block.ln2_b)
+    return ad.layer_norm(z, block.ln2_g, block.ln2_b,
+                         residual=x[:, STATE_ROWS])
 
 
 def forward_hidden(batch, params):

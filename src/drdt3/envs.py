@@ -282,15 +282,16 @@ def run_lockstep(env_cls, policy, n, start=None, record=False):
     per step; `policy(observations, t)` gives the (n, d_a) actions of step
     t. Episodes start from the (n, d_s) observations `start`, or from the
     env's start state. An episode that is done takes no further reward.
-    Returns the (n, t_max) rewards and the (n,) episode lengths; with
-    `record`, also the (n, t_max, d_s) observations each step acted on and
-    the (n, t_max, d_a) actions, of which episode j's first `lengths[j]`
-    rows are its own."""
+    Returns the (n, t_max) rewards, a transposed view of the (t_max, n)
+    array that each step fills one contiguous row of, and the (n,) episode
+    lengths; with `record`, also the (n, t_max, d_s) observations each step
+    acted on and the (n, t_max, d_a) actions, of which episode j's first
+    `lengths[j]` rows are its own."""
     d_s, t_max = env_cls.d_s, env_cls.t_max
     state = np.zeros((n, env_cls.d_state))
     if start is not None:
         state[:, :d_s] = start
-    rewards = np.zeros((n, t_max))
+    rewards = np.zeros((t_max, n))
     lengths = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     if record:
@@ -302,14 +303,14 @@ def run_lockstep(env_cls, policy, n, start=None, record=False):
         if record:
             observations[:, t], actions[:, t] = obs, action
         state, r, done = env_cls.dynamics(state, t, action)
-        np.copyto(rewards[:, t], r, where=alive)
+        np.copyto(rewards[t], r, where=alive)
         lengths += alive
         alive &= ~done
         if not alive.any():
             break
     if record:
-        return rewards, lengths, observations, actions
-    return rewards, lengths
+        return rewards.T, lengths, observations, actions
+    return rewards.T, lengths
 
 
 def lane_returns(env_cls, policy, noise, episodes):

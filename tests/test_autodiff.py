@@ -250,11 +250,23 @@ def test_primitive_gradients_randomized(seed):
 
 
 def test_embedding_duplicate_indices_accumulate():
+    """Two steps at timestep 1, one modality with zero projections: each of
+    the two tokens sends its gradient of ones to table row 1."""
     table = DArray(np.eye(3), requires_grad=True)
     table.zero_grad()
-    out = table[np.array([1, 1])]
+    w, b = DArray(np.zeros((1, 3)), requires_grad=True), DArray(np.zeros(3))
+    out = ad.embed_tokens((np.ones((1, 2, 1)),), [w], [b], table,
+                          np.array([[1, 1]]))
+    assert np.array_equal(out.data[0], np.eye(3)[[1, 1]])
     ad.backward(ad.sum_all(out))
-    assert table.grad[1].sum() == 2 * 3
+    assert np.array_equal(table.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("key", [np.array([1, 1]), (slice(None), [0, 2]),
+                                 np.array([True, False, True])])
+def test_take_slice_rejects_index_arrays(key):
+    with pytest.raises(ad.ShapeError, match="ints and slices"):
+        DArray(np.eye(3), requires_grad=True)[key]
 
 
 def _recorded_primitives():

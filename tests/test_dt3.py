@@ -283,8 +283,8 @@ class TestFusedEqualsComposed:
         block = AttentionTTTBlock(rng, 8, 2, 0.5)
         x = DArray(rng.uniform(-1, 1, (2, 5, 8)), requires_grad=True)
         mask = np.ones((2, 5), bool)
-        # the fused primitive, the residual add and the layer norm
-        assert _count_nodes(causal_attention(x, block, mask)) == 3
+        # the fused primitive and the layer norm with its residual operand
+        assert _count_nodes(causal_attention(x, block, mask)) == 2
         assert _count_nodes(_composed_attention(x, block, mask)) == 23
 
 
@@ -417,6 +417,123 @@ class TestStateRowsEqualAllRows:
         if k == 6:
             assert fast[0].tobytes() == full[0].tobytes()
         _assert_close(fast, full)
+
+
+# The embedding and the residual adds the model recorded before
+# `autodiff.embed_tokens` and the `residual` operand of `autodiff.layer_norm`:
+# a test-only row gather with the `np.add.at` adjoint that `take_slice` had,
+# and the 12-node embedding built from it.
+
+def _gather_rows(table, idx):
+    def bwd(g, acc):
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, idx, g)
+        acc(table, buf)
+    return ad._node(table.data[idx], (table,), bwd)
+
+
+def _composed_embed(batch, params):
+    b, k = batch.rtgs.shape
+    d = params.time_table.shape[1]
+    temb = _gather_rows(params.time_table, batch.timesteps)
+    toks = [lin(DArray(x)) + temb for lin, x in (
+        (params.proj_rtg, batch.rtgs[..., None]),
+        (params.proj_state, batch.states),
+        (params.proj_action, batch.actions))]
+    stacked = ad.concat([ad.reshape(t, (b, k, 1, d)) for t in toks], axis=2)
+    return ad.reshape(stacked, (b, 3 * k, d))
+
+
+def _composed_residual_predict(batch, params):
+    """`predict_coarse_actions_batch` with the composed embedding and each
+    sub-layer's norm over an explicit residual add."""
+    blk = params.block
+    x = _composed_embed(batch, params)
+    mask = np.repeat(batch.pad_mask, 3, axis=1)
+    attn = ad.causal_attention(x, blk.wq.w, blk.wq.b, blk.wk.w, blk.wk.b,
+                               blk.wv.w, blk.wv.b, blk.wo.w, blk.wo.b, mask,
+                               blk.n_heads)
+    h = ad.layer_norm(x + attn, blk.ln1_g, blk.ln1_b)
+    if params.dt_mode:
+        h = h[:, 1::3]
+    else:
+        z = ttt_forward(h, blk.ttt, mask, slice(1, None, 3))
+        h = ad.layer_norm(h[:, 1::3] + z, blk.ln2_g, blk.ln2_b)
+    return params.head(ad.layer_norm(h, params.lnf_g, params.lnf_b))
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestFusedEmbeddingAndResidualNorms:
+    """`embed_tokens` and `layer_norm(..., residual=)` do the composed
+    graph's arithmetic in its order: outputs and gradients are bitwise
+    equal."""
+
+    @pytest.mark.parametrize("dt_mode", [False, True], ids=["ttt", "dt"])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_embedding_and_model(self, k, dt_mode):
+        rng = np.random.default_rng(60 + k)
+        params = DT3Params(rng, 3, 2, tiny_cfg(context_len=k,
+                                               dt_mode=dt_mode))
+        for p in params.parameters():
+            p.data[...] += rng.normal(0.0, 0.3, p.shape)
+        b = 5
+        # Padded prefixes of every length, zeroed as `set_row` leaves them,
+        # and timesteps drawn from 3 values, so that they repeat.
+        pad_mask = np.arange(k) >= rng.integers(0, k + 1, size=b)[:, None]
+        pad_mask[0] = True
+        batch = ContextBatch(rng.uniform(-1, 1, (b, k)) * pad_mask,
+                             rng.uniform(-1, 1, (b, k, 3)) * pad_mask[..., None],
+                             rng.uniform(-1, 1, (b, k, 2)) * pad_mask[..., None],
+                             rng.integers(0, 3, (b, k)) * pad_mask, pad_mask)
+        assert any(len(set(row)) < k for row in batch.timesteps) or k == 1
+        embed = [params.proj_rtg.w, params.proj_rtg.b, params.proj_state.w,
+                 params.proj_state.b, params.proj_action.w,
+                 params.proj_action.b, params.time_table]
+        cot = rng.standard_normal((b, 3 * k, params.time_table.shape[1]))
+        fused = _outputs_and_grads(
+            lambda: embed_context(batch, params)[0], embed, cot)
+        composed = _outputs_and_grads(
+            lambda: _composed_embed(batch, params), embed, cot)
+        assert _bytes(fused) == _bytes(composed)
+
+        inputs = params.parameters()
+        cot = rng.standard_normal((b, k, 2))
+        fused = _outputs_and_grads(
+            lambda: predict_coarse_actions_batch(batch, params), inputs, cot)
+        composed = _outputs_and_grads(
+            lambda: _composed_residual_predict(batch, params), inputs, cot)
+        assert _bytes(fused) == _bytes(composed)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 8)])
+    def test_layer_norm_residual(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x, y = (DArray(rng.uniform(-2, 2, shape), requires_grad=True)
+                for _ in range(2))
+        g, bias = (DArray(rng.uniform(-2, 2, shape[-1]), requires_grad=True)
+                   for _ in range(2))
+        inputs = [x, y, g, bias]
+        cot = rng.standard_normal(shape)
+        fused = _outputs_and_grads(
+            lambda: ad.layer_norm(x, g, bias, residual=y), inputs, cot)
+        composed = _outputs_and_grads(
+            lambda: ad.layer_norm(x + y, g, bias), inputs, cot)
+        assert _bytes(fused) == _bytes(composed)
+
+    def test_residual_shape_mismatch_rejected(self):
+        one = DArray(np.ones(4))
+        with pytest.raises(ad.ShapeError, match="residual"):
+            ad.layer_norm(DArray(np.ones((2, 4))), one, one,
+                          residual=DArray(np.ones((1, 4))))
+
+    def test_embedding_records_one_node(self):
+        rng = np.random.default_rng(61)
+        params = DT3Params(rng, 3, 2, tiny_cfg())
+        batch = make_batch(pad=1)
+        assert _count_nodes(embed_context(batch, params)[0]) == 1
+        assert _count_nodes(_composed_embed(batch, params)) == 12
 
 
 def _count_nodes(out):
