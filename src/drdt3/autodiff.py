@@ -10,6 +10,13 @@ topological order, visiting each node exactly once. Leaf gradients
 accumulate across backward calls until `zero_grad`, which zeroes an existing
 gradient in place. Inside `with no_grad():` nothing is recorded, so
 inference builds no graph.
+
+The fold rule: every product of an (..., m) activation with a shared 2-D
+weight, forward or adjoint, is one 2-D GEMM over all leading rows,
+`x.reshape(-1, m) @ w` (`_gemm`), not the one small GEMM per leading index
+that a broadcast `np.matmul` issues. Products whose both operands vary per
+sequence (attention scores, the TTT recurrence) and the per-token query
+matvec of `ttt_linear` stay batched.
 """
 
 from __future__ import annotations
@@ -30,6 +37,14 @@ class ShapeError(ValueError):
 
 class EvaluationError(RuntimeError):
     """Raised when a checked function produces non-finite values."""
+
+
+def _gemm(x, w):
+    """x @ w for an (..., m) array x and a 2-D (m, n) w as one 2-D GEMM over
+    all leading rows, not the one small GEMM per leading index that a
+    broadcast `np.matmul` issues. A non-contiguous x is copied once."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1]
+                                                    + w.shape[1:])
 
 
 def _unbroadcast(grad, shape):
@@ -200,20 +215,20 @@ def scale(a, s):
 def affine(x, w, b):
     """x @ w + b over the last dim of x, any number of leading dims.
 
-    The weight gradient is one GEMM over all leading rows, x2^T g2, not a
-    stack of per-row products summed afterwards.
+    The output, the input gradient and the weight gradient are each one
+    GEMM over all leading rows.
     """
     if x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
         raise ShapeError(
             f"affine shapes disagree: x {x.data.shape}, w {w.data.shape}, "
             f"b {b.data.shape}"
         )
-    out = np.matmul(x.data, w.data)
+    out = _gemm(x.data, w.data)
     out += b.data
 
     def bwd(g, acc):
         g2 = g.reshape(-1, g.shape[-1])
-        acc(x, np.matmul(g, w.data.T))
+        acc(x, _gemm(g, w.data.T))
         acc(w, x.data.reshape(-1, w.data.shape[0]).T @ g2)
         acc(b, g2.sum(axis=0))
     return _node(out, (x, w, b), bwd)
@@ -244,7 +259,7 @@ def embed_tokens(xs, ws, bs, table, timesteps):
     temb = tab[timesteps]
     out = np.empty((b, k, m_tok, d))
     for m, (x, w, bias) in enumerate(zip(xs, ws, bs)):
-        proj = np.matmul(x, w.data)
+        proj = _gemm(x, w.data)
         proj += bias.data
         np.add(proj, temb, out=out[:, :, m])
 
@@ -400,7 +415,7 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
         raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = np.matmul(xd, w_qkv)
+    qkv = _gemm(xd, w_qkv)
     qkv += np.concatenate([bq.data, bk.data, bv.data])
     # q, k, v: (B, heads, s, d_h) views of the (B, s, 3, heads, d_h) product.
     q, k, v = qkv.reshape(b, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
@@ -415,14 +430,14 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
     np.exp(p, out=p)                   # exp(-inf) = 0: masked keys drop out
     p /= p.sum(axis=-1, keepdims=True)
     o = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b, s, d)
-    out = np.matmul(o, wo.data)
+    out = _gemm(o, wo.data)
     out += bo.data
 
     def bwd(g, acc):
         g2 = g.reshape(-1, d)
         acc(wo, o.reshape(-1, d).T @ g2)
         acc(bo, g2.sum(axis=0))
-        go = np.matmul(g, wo.data.T).reshape(b, s, n_heads, dh)
+        go = _gemm(g, wo.data.T).reshape(b, s, n_heads, dh)
         go = go.transpose(0, 2, 1, 3)
         gs = np.matmul(go, v.swapaxes(-1, -2))         # dP, then dS in place
         gs -= (gs * p).sum(axis=-1, keepdims=True)
@@ -440,7 +455,7 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
         gb = np.split(gqkv2.sum(axis=0), 3)
         for param, grad in zip((wq, wk, wv, bq, bk, bv), gw + gb):
             acc(param, grad)
-        acc(x, np.matmul(gqkv, w_qkv.T))
+        acc(x, _gemm(gqkv, w_qkv.T))
     return _node(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
 
 
@@ -494,21 +509,22 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
     b, s, d = xd.shape
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (b, s))[:, None, :]
     # q_t = theta_q x_t per token, so that with c = 0 the output is exactly
-    # w0 (theta_q x_t); k and v come from one GEMM. The adjoint keeps a copy
-    # of k, not a view that would pin the (B, s, 2d) product: it never
-    # reads v.
+    # w0 (theta_q x_t). k and v are separate GEMM outputs, so the adjoint,
+    # which keeps k, never pins v.
     xr = xd[:, rows]
     q = np.matmul(theta_q.data, xr[..., None])[..., 0]
-    k, v = np.split(xd @ np.concatenate([theta_k.data, theta_v.data]).T, 2,
-                    axis=-1)
-    k = k.copy()
+    k = _gemm(xd, theta_k.data.T)
+    v = _gemm(xd, theta_v.data.T)
     kt = np.swapaxes(k, 1, 2)
     lower, strict, _ = _tri_masks(s)
     lower = lower[rows]
     # np.where with a cached mask is np.tril's own arithmetic.
     a = np.where(strict, np.matmul(k, kt) * c, 0.0)
     m = np.where(lower, np.matmul(q, kt) * c, 0.0)
-    e = _unit_lower_solve(a, np.matmul(k, w.T) - v)
+    r = _gemm(k, w.T)
+    r -= v
+    del v                              # freed before the solve copies r
+    e = _unit_lower_solve(a, r)
     out = np.matmul(w, q[..., None])[..., 0] - np.matmul(m, e)
 
     def bwd(g, acc):
@@ -518,8 +534,8 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
         gm = np.where(lower, np.matmul(g, et), 0.0) * c
         gr = _unit_upper_solve(a, np.matmul(np.swapaxes(m, 1, 2), g))
         ga = np.where(strict, np.matmul(gr, et), 0.0) * c
-        gq = np.matmul(g, w) - np.matmul(gm, k)
-        gk = (np.matmul(ga + np.swapaxes(ga, 1, 2), k) - np.matmul(gr, w)
+        gq = _gemm(g, w) - np.matmul(gm, k)
+        gk = (np.matmul(ga + np.swapaxes(ga, 1, 2), k) - _gemm(gr, w)
               - np.matmul(np.swapaxes(gm, 1, 2), q))
         g2, q2, xr2, k2, x2, gq2, gk2, gr2 = (
             t.reshape(-1, d) for t in (g, q, xr, k, xd, gq, gk, gr))

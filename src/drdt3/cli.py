@@ -18,7 +18,7 @@ import numpy as np
 
 from .bundle import BundleFormatError, load_bundle
 from .config import ConfigError, TrainConfig, config_to_dict, load_config
-from .envs import make_env_spec, normalized_score
+from .envs import ActionError, make_env_spec, normalized_score
 from .plotting import PlotError, plot_metrics
 from .store_io import StoreFormatError, export_text, load_store, save_store
 from .training import (DatasetRejected, MetricsLog, TrainingAborted,
@@ -30,18 +30,30 @@ def _fail(msg, code=1):
     return code
 
 
+def _missing_dir(*paths):
+    """The first given output path whose directory does not exist, or None.
+    Commands check their outputs before their work runs, not after."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            return path
+    return None
+
+
 def cmd_gen_data(args):
     from .envs import generate_dataset
+    missing = _missing_dir(args.out, args.text_out)
+    if missing:
+        return _fail(f"cannot write {missing}: its directory does not exist")
     try:
         store = generate_dataset(args.env, args.tier, args.n_traj, args.seed)
     except ValueError as e:
         return _fail(e)
-    try:
-        save_store(store, args.out)
-        if args.text_out:
-            export_text(store, args.text_out)
-    except OSError as e:
-        return _fail(e)
+    for path, write in ((args.out, save_store), (args.text_out, export_text)):
+        if path:
+            try:
+                write(store, path)
+            except OSError as e:  # named by the user's path, not a temp file
+                return _fail(f"cannot write {path}: {e.strerror or e}")
     rets = [t.ret for t in store.trajectories]
     print(f"env: {store.env_id}  tier: {args.tier}")
     print(f"trajectories: {store.count}")
@@ -86,6 +98,8 @@ def cmd_train(args):
                             bundle=bundle0, log=log0)
     except DatasetRejected as e:
         return _fail(e)
+    except ActionError as e:
+        return _fail(f"per-epoch evaluation failed: {e}")
     except TrainingAborted as e:
         print(f"aborted: {e}; last checkpoint kept in {args.out}",
               file=sys.stderr)
@@ -117,8 +131,7 @@ def cmd_eval(args):
         bundle = load_bundle(args.bundle)
     except (BundleFormatError, OSError) as e:
         return _fail(e)
-    # Checked before the episodes run, not after.
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+    if _missing_dir(args.out):
         return _fail(f"cannot write {args.out}: its directory does not exist")
     try:
         returns, successes, g0s = evaluate_episodes(

@@ -150,11 +150,19 @@ def normalized_score(raw, spec):
 # Environments
 # ---------------------------------------------------------------------------
 
+class ActionError(ValueError):
+    """An env step was given a malformed or non-finite action."""
+
+
 def _check_action(action, d_a):
-    """Reject what `dynamics` would broadcast or truncate without a word."""
+    """Reject what `dynamics` would broadcast or truncate without a word,
+    and NaN or infinite entries, which it would carry into the state or
+    the reward."""
     if np.shape(action) != (d_a,):
-        raise ValueError(f"action must have shape ({d_a},), got "
-                         f"{np.shape(action)}")
+        raise ActionError(f"action must have shape ({d_a},), got "
+                          f"{np.shape(action)}")
+    if not np.isfinite(action).all():
+        raise ActionError(f"action must be finite, got {np.asarray(action)}")
 
 
 class PointReach:

@@ -74,6 +74,24 @@ class TestGenData:
         assert rc == 0
         assert (tmp_path / "d.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--text-out"])
+    def test_output_in_missing_dir_exit_one(self, tmp_path, capsys,
+                                            monkeypatch, flag):
+        """Both output paths are checked before the dataset is generated,
+        and no store file is left behind."""
+        from drdt3 import envs
+        monkeypatch.setattr(envs, "generate_dataset", None)  # must not run
+        paths = {"--out": tmp_path / "d.bin",
+                 "--text-out": tmp_path / "d.jsonl"}
+        paths[flag] = tmp_path / "missing" / "x"
+        rc = main(["gen-data", "--env", "stitchchain", "--tier", "stitch",
+                   "--n-traj", "4", "--out", str(paths["--out"]),
+                   "--text-out", str(paths["--text-out"])])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and str(paths[flag]) in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_artifacts_written(self, workspace):
@@ -166,6 +184,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_nonfinite_eval_action_exit_one(self, workspace, tmp_path,
+                                             capsys):
+        """An RTG scale that overflows the model gives NaN actions in the
+        per-epoch evaluation: exit 1 with the env's message."""
+        cfg = tmp_path / "huge-rtg.cfg"
+        cfg.write_text(TINY_CFG + "rtg_scale = 1e308\n")
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--config", str(cfg), "--data",
+                       str(workspace / "stitch.bin"), "--out",
+                       str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "action must be finite" in err and "Traceback" not in err
 
     def test_missing_data_exit_one(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
@@ -291,6 +323,18 @@ class TestEval:
         rc = main(["eval", "--bundle", bundle, flag, value])
         assert rc == 1
         assert flag.lstrip("-") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["drdt3", "dt3-only"])
+    def test_nonfinite_action_exit_one(self, workspace, capsys, mode):
+        """--eta 1e308 is finite but overflows the stitch bundle's model
+        into NaN actions, which the env rejects."""
+        bundle = str(workspace / "run" / "bundle.drdt3")
+        with np.errstate(all="ignore"):
+            rc = main(["eval", "--bundle", bundle, "--episodes", "1",
+                       "--eta", "1e308", "--mode", mode])
+        captured = capsys.readouterr()
+        assert rc == 1 and "return:" not in captured.out
+        assert captured.err.startswith("error: action must be finite")
 
     def test_dense_env_success_is_expert_score(self, tmp_path, capsys,
                                                monkeypatch):

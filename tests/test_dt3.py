@@ -6,8 +6,9 @@ from drdt3.autodiff import DArray
 from drdt3.config import TrainConfig
 from drdt3.diffusion import (NoiseApproximatorParams, condition,
                              predict_noise)
-from drdt3.dt3 import (AttentionTTTBlock, ContextBatch, DT3Params, Linear,
-                       TTTLinearLayer, TimestepRangeError, causal_attention,
+from drdt3.dt3 import (STATE_ROWS, AttentionTTTBlock, ContextBatch,
+                       DT3Params, Linear, TTTLinearLayer, TimestepRangeError,
+                       causal_attention,
                        embed_context, predict_coarse_actions_batch,
                        ttt_forward)
 
@@ -534,6 +535,114 @@ class TestFusedEmbeddingAndResidualNorms:
         batch = make_batch(pad=1)
         assert _count_nodes(embed_context(batch, params)[0]) == 1
         assert _count_nodes(_composed_embed(batch, params)) == 12
+
+
+# Each dense product once ran as a broadcast `np.matmul` of the (B, s, m)
+# activation against the shared 2-D weight, one small GEMM per batch row.
+# `autodiff._gemm` folds the leading dims into one 2-D GEMM; patched back to
+# `np.matmul`, the same primitives are the oracle of the fold.
+
+FOLD_SHAPES = [(d, b) for d in (8, 32, 128) for b in (1, 4, 64)]
+
+
+def _activation(rng, b, s, m, strided):
+    """A (b, s, m) input in [-0.5, 0.5]: contiguous, or the strided view
+    h[:, 1::3] of a (b, 3s, m) array, as the state rows are read."""
+    h = rng.uniform(-0.5, 0.5, (b, 3 * s, m))[:, 1::3]
+    return h if strided else np.ascontiguousarray(h)
+
+
+def _weights(rng, *shapes, bound):
+    return [DArray(rng.uniform(-bound, bound, shape), requires_grad=True)
+            for shape in shapes]
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous",
+                                                        "strided"])
+@pytest.mark.parametrize("d, b", FOLD_SHAPES)
+class TestOneGemmPerProduct:
+    """Outputs and every gradient of the folded primitives are within 1e-12
+    relative of the broadcast form."""
+
+    @staticmethod
+    def check(monkeypatch, f, inputs, cot):
+        folded = _outputs_and_grads(f, inputs, cot)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_gemm", np.matmul)
+            broadcast = _outputs_and_grads(f, inputs, cot)
+        _assert_close(folded, broadcast)
+
+    def test_affine(self, monkeypatch, d, b, strided):
+        rng = np.random.default_rng(d + b)
+        x = DArray(_activation(rng, b, 6, d, strided), requires_grad=True)
+        w, bias = _weights(rng, (d, d), (d,), bound=1.0 / np.sqrt(d))
+        self.check(monkeypatch, lambda: ad.affine(x, w, bias), [x, w, bias],
+                   rng.standard_normal((b, 6, d)))
+
+    def test_embed_tokens(self, monkeypatch, d, b, strided):
+        rng = np.random.default_rng(d + b)
+        k, dims = 6, (1, 3, 2)
+        xs = [_activation(rng, b, k, m, strided) for m in dims]
+        ws = _weights(rng, *((m, d) for m in dims), bound=1.0)
+        bs = _weights(rng, *((d,) for _ in dims), bound=1.0)
+        table = _weights(rng, (16, d), bound=1.0)[0]
+        steps = rng.integers(0, 16, (b, k))
+        self.check(monkeypatch,
+                   lambda: ad.embed_tokens(xs, ws, bs, table, steps),
+                   ws + bs + [table], rng.standard_normal((b, 3 * k, d)))
+
+    def test_causal_attention(self, monkeypatch, d, b, strided):
+        rng = np.random.default_rng(d + b)
+        s = 18
+        x = DArray(_activation(rng, b, s, d, strided), requires_grad=True)
+        params = [p for _ in range(4)
+                  for p in _weights(rng, (d, d), (d,), bound=1.0 / np.sqrt(d))]
+        mask = np.arange(s) >= rng.integers(0, s, size=b)[:, None]
+        self.check(monkeypatch,
+                   lambda: ad.causal_attention(x, *params, mask, 2),
+                   [x] + params, rng.standard_normal((b, s, d)))
+
+    def test_ttt_linear(self, monkeypatch, d, b, strided):
+        """Projections of bound 3/d keep ||k||^2 near 1/4 at every d, so
+        with c <= 2 each step I - c k k^T stays a contraction, the stable
+        regime `check_primitives` tests in."""
+        rng = np.random.default_rng(d + b)
+        s = 18
+        x = DArray(_activation(rng, b, s, d, strided), requires_grad=True)
+        w0 = _weights(rng, (d, d), bound=1.0 / np.sqrt(d))
+        thetas = _weights(rng, (d, d), (d, d), (d, d), bound=3.0 / d)
+        mask = np.arange(s) >= rng.integers(0, s, size=b)[:, None]
+        c = rng.uniform(0.5, 2.0) * mask
+        for rows in (slice(None), STATE_ROWS):
+            self.check(monkeypatch,
+                       lambda: ad.ttt_linear(x, *w0, *thetas, c, rows),
+                       [x] + w0 + thetas,
+                       rng.standard_normal((b, len(range(s)[rows]), d)))
+
+
+# The traced peak of one `ttt_linear` forward at library defaults (d=128,
+# B=64, 3K=18 tokens, read out at the state rows) was 6.40 MiB while k and v
+# were halves of one (B, s, 2d) product and k was copied out of it; with two
+# GEMM outputs of their own it is 5.09 MiB.
+TTT_FORWARD_PEAK_MIB = 5.75
+
+
+def test_ttt_forward_memory_peak():
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    b, s, d = 64, 18, 128
+    x = DArray(rng.uniform(-1, 1, (b, s, d)), requires_grad=True)
+    params = _weights(rng, *[(d, d)] * 4, bound=0.5 / np.sqrt(d))
+    c = np.full((b, s), 0.1)
+    ad.ttt_linear(x, *params, c, STATE_ROWS)            # warm-up
+    tracemalloc.start()
+    try:
+        out = ad.ttt_linear(x, *params, c, STATE_ROWS)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (b, s // 3, d)
+    assert peak < TTT_FORWARD_PEAK_MIB
 
 
 def _count_nodes(out):

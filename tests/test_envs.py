@@ -277,6 +277,18 @@ class TestEnvs:
             env.step(action)
         assert env.t == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("env_cls", [PointReach, StitchChain])
+    def test_nonfinite_action_rejected(self, env_cls, bad):
+        """A NaN or infinite entry would reach the state or the reward."""
+        env = env_cls()
+        env.reset()
+        action = np.zeros(env.d_a)
+        action[-1] = bad
+        with pytest.raises(ValueError, match="action must be finite"):
+            env.step(action)
+        assert env.t == 0
+
 
 class TestBatchedDynamics:
     def random_batch(self, env_id, rng, n=400):

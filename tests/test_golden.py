@@ -18,7 +18,8 @@ commit, with
 
     python3 tests/test_golden.py --rewrite
 
-which prints the machine line it records.
+which prints each artifact as "unchanged", "changed at row N", "new" or
+"removed" against the fixture it replaces, and the machine line it records.
 """
 
 from __future__ import annotations
@@ -145,6 +146,18 @@ def fingerprint(path):
             "rows": rows(path)}
 
 
+def first_difference(want, got):
+    """None when two fingerprints have the same bytes, else the index of
+    the first differing row; when one row list is a prefix of the other,
+    the shorter length."""
+    if got["sha256"] == want["sha256"]:
+        return None
+    for i, (w, g) in enumerate(zip(want["rows"], got["rows"])):
+        if w != g:
+            return i
+    return min(len(want["rows"]), len(got["rows"]))
+
+
 def mismatches(artifacts, fixture):
     """One message per artifact whose bytes differ from the fixture's,
     naming it and its first differing row."""
@@ -155,17 +168,33 @@ def mismatches(artifacts, fixture):
             out.append(f"{name}: missing from {where}")
             continue
         want, got = fixture[name], fingerprint(artifacts[name])
-        if got["sha256"] == want["sha256"]:
+        i = first_difference(want, got)
+        if i is None:
             continue
-        for i, (w, g) in enumerate(zip(want["rows"], got["rows"])):
-            if w != g:
-                out.append(f"{name}: first differing row {i}\n"
-                           f"  fixture: {w}\n  now:     {g}")
-                break
+        if i < min(len(want["rows"]), len(got["rows"])):
+            out.append(f"{name}: first differing row {i}\n"
+                       f"  fixture: {want['rows'][i]}\n"
+                       f"  now:     {got['rows'][i]}")
         else:
             out.append(f"{name}: {len(want['rows'])} rows in the fixture, "
                        f"{len(got['rows'])} now")
     return out
+
+
+def change_summary(old, new):
+    """One line per artifact of either fixture: "unchanged", "changed at
+    row N", "new" or "removed", for the new fixture against the old."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        if name not in old:
+            status = "new"
+        elif name not in new:
+            status = "removed"
+        else:
+            i = first_difference(old[name], new[name])
+            status = "unchanged" if i is None else f"changed at row {i}"
+        lines.append(f"{name}: {status}")
+    return lines
 
 
 def test_golden_recipe_is_byte_identical(tmp_path):
@@ -179,12 +208,31 @@ def test_golden_recipe_is_byte_identical(tmp_path):
         + f"\nfixture machine: {then}\nthis machine:    {now}")
 
 
+def test_change_summary_names_first_changed_row():
+    old = {"a": {"sha256": "1", "rows": ["x", "y"]},
+           "b": {"sha256": "2", "rows": ["x", "y", "z"]},
+           "c": {"sha256": "3", "rows": ["x"]},
+           "gone": {"sha256": "4", "rows": []}}
+    new = {"a": {"sha256": "1", "rows": ["x", "y"]},
+           "b": {"sha256": "5", "rows": ["x", "w", "z"]},
+           "c": {"sha256": "6", "rows": ["x", "v"]},
+           "added": {"sha256": "7", "rows": []}}
+    assert change_summary(old, new) == [
+        "a: unchanged", "added: new", "b: changed at row 1",
+        "c: changed at row 1", "gone: removed"]
+
+
 def rewrite(root):
-    """Run the recipe in `root` and write its fingerprints as the fixture."""
+    """Run the recipe in `root`, write its fingerprints as the fixture, and
+    print how each artifact compares with the fixture it replaces."""
     artifacts = run_recipe(root)
     fixture = {"machine": machine(),
                "artifacts": {name: fingerprint(path)
                              for name, path in sorted(artifacts.items())}}
+    old = (json.loads(FIXTURE.read_text())["artifacts"]
+           if FIXTURE.exists() else {})
+    for line in change_summary(old, fixture["artifacts"]):
+        print(line)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
     print("# machine " + json.dumps(fixture["machine"], sort_keys=True))
