@@ -470,21 +470,21 @@ def _tri_masks(s):
     return masks
 
 
-def _unit_lower_solve(a, r):
-    """Solve (I + a) e = r per batch row; `a` is strictly lower triangular.
+def _unit_lower_solve(a, e):
+    """Solve (I + a) x = e per batch row, overwriting `e` with x; `a` is
+    strictly lower triangular.
 
-    Forward substitution, so row t of `e` depends only on rows <= t.
+    Forward substitution, so row t of x depends only on rows <= t.
     """
-    e = r.copy()
-    for t in range(1, r.shape[1]):
+    for t in range(1, e.shape[1]):
         e[:, t] -= np.matmul(a[:, t:t + 1, :t], e[:, :t])[:, 0]
     return e
 
 
-def _unit_upper_solve(a, g):
-    """Solve (I + a)^T y = g per batch row; `a` is strictly lower triangular."""
-    y = g.copy()
-    for t in range(g.shape[1] - 2, -1, -1):
+def _unit_upper_solve(a, y):
+    """Solve (I + a)^T x = y per batch row, overwriting `y` with x; `a` is
+    strictly lower triangular."""
+    for t in range(y.shape[1] - 2, -1, -1):
         y[:, t] -= np.matmul(a[:, None, t + 1:, t], y[:, t + 1:])[:, 0]
     return y
 
@@ -523,8 +523,8 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
     m = np.where(lower, np.matmul(q, kt) * c, 0.0)
     r = _gemm(k, w.T)
     r -= v
-    del v                              # freed before the solve copies r
-    e = _unit_lower_solve(a, r)
+    del v                              # freed before the solve
+    e = _unit_lower_solve(a, r)        # in place: r becomes e
     out = np.matmul(w, q[..., None])[..., 0] - np.matmul(m, e)
 
     def bwd(g, acc):

@@ -16,9 +16,10 @@ import time
 
 import numpy as np
 
+from . import checks
 from .bundle import BundleFormatError, load_bundle
 from .config import ConfigError, TrainConfig, config_to_dict, load_config
-from .envs import ActionError, make_env_spec, normalized_score
+from .envs import ENVS, ActionError, make_env_spec, normalized_score
 from .plotting import PlotError, plot_metrics
 from .store_io import StoreFormatError, export_text, load_store, save_store
 from .training import (DatasetRejected, MetricsLog, TrainingAborted,
@@ -159,9 +160,8 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
-    from .checks import run_checks
     try:
-        results = run_checks(args.scope)
+        results = checks.run_checks(args.scope)
     except Exception as e:  # any oracle blow-up is a check failure
         return _fail(e, code=2)
     failed = [(n, e, lim) for n, e, lim in results if not e < lim]
@@ -192,9 +192,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate an offline dataset")
-    g.add_argument("--env", required=True, choices=["pointreach", "stitchchain"])
-    g.add_argument("--tier", required=True,
-                   choices=["medium", "medium-replay", "stitch"])
+    g.add_argument("--env", required=True, choices=list(ENVS))
+    g.add_argument("--tier", required=True, choices=list(dict.fromkeys(
+        tier for cls in ENVS.values() for tier in cls.tiers)))
     g.add_argument("--n-traj", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -224,8 +224,7 @@ def build_parser():
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("check", help="run gradient and invariant suites")
-    c.add_argument("--scope", choices=["numerics", "dt3", "diffusion", "all"],
-                   default="all")
+    c.add_argument("--scope", choices=[*checks.SCOPES, "all"], default="all")
     c.set_defaults(func=cmd_check)
 
     pl = sub.add_parser("plot", help="render a metrics CSV as SVG")

@@ -1,15 +1,17 @@
-"""Toy environments, offline dataset generation, and rollout evaluation.
+"""Toy environments, offline dataset generation, and the episode loop.
 
 PointReach: 2-D point mass steered toward a fixed goal (dense reward).
 StitchChain: 1-D corridor with a single sparse reward at the far end; its
 "stitch" dataset splits the route into two trajectory families so that no
 single dataset episode solves the task from the true start.
 
-Each env has one batched `dynamics` over (E, .) states; `step` is its
-one-episode case. Offline episodes (the reference scores, the sigma
-calibration and every dataset tier) are stepped by one loop,
-`run_lockstep`, and reproduce bit for bit what a one-episode-at-a-time
-loop over one shared random stream gives:
+Each env class declares its action bound `a_max` and the dataset `tiers`
+it offers, and owns any recipe beyond the shared noisy-expert tiers. Each
+has one batched `dynamics` over (E, .) states; `step` is its one-episode
+case. Offline episodes (the reference scores, the sigma calibration and
+every dataset tier) are stepped by one loop, `run_lockstep`, and reproduce
+bit for bit what a one-episode-at-a-time loop over one shared random
+stream gives:
 - a pointreach `medium` or `medium-replay` dataset runs as one batch,
   since every episode lasts t_max steps and its noise can be drawn up
   front;
@@ -19,7 +21,8 @@ loop over one shared random stream gives:
 - the stitch tier's family B draws nothing and runs as one batch;
 - the scorers run every episode a random stream could start at once
   (`lane_returns`).
-Evaluation rollouts (`rollout`) step one episode at a time.
+`rollout` steps one episode of an env under any policy. The module knows
+nothing of the model: the evaluation policy lives in `training`.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
-from .dt3 import ContextBatch, predict_coarse_actions_batch
-from .diffusion import sample_action, vp_schedule
 
 
 @dataclass
@@ -167,12 +166,14 @@ def _check_action(action, d_a):
 
 class PointReach:
     """2-D point mass: state (pos, vel) in R^4, action = acceleration in
-    [-1,1]^2, Euler step dt=0.1, reward -|pos - goal|, horizon 50."""
+    [-a_max, a_max]^2, Euler step dt=0.1, reward -|pos - goal|, horizon 50."""
 
     env_id = "pointreach"
     d_s, d_a, t_max = 4, 2, 50
+    a_max = 1.0
     d_state = 4              # the batched state is the observation
     reward_kind = "dense"
+    tiers = ("medium", "medium-replay")
     fixed_length = True      # every episode lasts t_max steps
     dt = 0.1
     goal = np.array([1.0, 1.0])
@@ -191,7 +192,7 @@ class PointReach:
         """One step of E episodes at once: state (E, 4), t the steps each
         has taken, action an (E, 2) array. Returns the next state, the
         reward (E,) and done (E,)."""
-        vel = state[:, 2:] + cls.dt * action.clip(-1.0, 1.0)
+        vel = state[:, 2:] + cls.dt * action.clip(-cls.a_max, cls.a_max)
         pos = state[:, :2] + cls.dt * vel
         d = pos - cls.goal
         # sqrt(vecdot) is np.linalg.norm's arithmetic on one vector;
@@ -214,7 +215,7 @@ class PointReach:
         a = 4.0 * (cls.goal - states[:, :2]) - 3.0 * states[:, 2:]
         if noise is not None:
             a = a + noise
-        return np.clip(a, -1.0, 1.0)
+        return np.clip(a, -cls.a_max, cls.a_max)
 
 
 class StitchChain:
@@ -223,8 +224,10 @@ class StitchChain:
 
     env_id = "stitchchain"
     d_s, d_a, t_max = 1, 1, 20
+    a_max = 1.0
     d_state = 2              # the observation, then whether the reward is paid
     reward_kind = "sparse"
+    tiers = ("medium", "medium-replay", "stitch")
     fixed_length = False
 
     def __init__(self):
@@ -245,7 +248,8 @@ class StitchChain:
         taken, action an (E, 1) array. Returns the next state, the reward
         (E,) and done (E,)."""
         nxt = state.copy()
-        nxt[:, 0] = (state[:, 0] + action[:, 0].clip(-1.0, 1.0)).clip(0.0, 8.0)
+        nxt[:, 0] = (state[:, 0] + action[:, 0].clip(-cls.a_max, cls.a_max)
+                     ).clip(0.0, 8.0)
         # 1.0 at the goal unless already paid
         reward = (nxt[:, 0] >= 8.0) * (1.0 - state[:, 1])
         nxt[:, 1] += reward
@@ -267,16 +271,49 @@ class StitchChain:
         a = np.ones((len(states), 1))
         if noise is not None:
             a = a + noise
-        return np.clip(a, -1.0, 1.0)
+        return np.clip(a, -cls.a_max, cls.a_max)
+
+    @classmethod
+    def stitch_dataset(cls, n_traj, rng):
+        """The `stitch` tier's n_traj trajectories, drawn from `rng`: two
+        families, alternating, that solve the task only when composed."""
+        # Family A: 0 -> 4, then wander below 5. Return 0. Its draws depend
+        # on the state, and each episode continues the stream where the one
+        # before stopped, so its episodes run one at a time, in order.
+        full_speed = np.ones((1, 1))
+
+        def family_a(obs, t):
+            pos = obs[0, 0]
+            if pos < 4.0 and rng.uniform() < 0.97:
+                return full_speed
+            # min(max(...)) is np.clip on one float, at a quarter the cost.
+            return np.array([[min(max(rng.normal(0.0, 0.25), -0.45), 0.45)
+                              if pos < 4.5 else
+                              min(max(rng.normal(-0.2, 0.2), -0.45), 0.1)]])
+
+        trajs = [None] * n_traj
+        trajs[0::2] = [_record(cls, family_a, 1)[0]
+                       for _ in range(0, n_traj, 2)]
+        # Family B: teleported start at 4, straight to 8. Return 1. It draws
+        # nothing, so all its episodes run as one batch.
+        n_b = n_traj // 2
+        trajs[1::2] = _record(cls, lambda obs, t: np.ones((n_b, 1)), n_b,
+                              start=np.full((n_b, 1), 4.0))
+        assert all(t.ret == 0.0 for t in trajs[0::2]), \
+            "family A must never reach the goal"
+        assert all(t.ret == 1.0 for t in trajs[1::2])
+        assert not any(t.states[0, 0] == 0.0 and t.ret > 0.0 for t in trajs), \
+            "stitch dataset must not contain a full solution"
+        return trajs
 
 
-_ENVS = {"pointreach": PointReach, "stitchchain": StitchChain}
+ENVS = {"pointreach": PointReach, "stitchchain": StitchChain}
 _SPEC_CACHE = {}
 
 
 def env_class(env_id):
     try:
-        return _ENVS[env_id]
+        return ENVS[env_id]
     except KeyError:
         raise ValueError(f"unknown env {env_id!r}") from None
 
@@ -363,13 +400,15 @@ def make_env_spec(env_id):
     steps = episodes * env.t_max
     random_score = lane_returns(
         env, lambda s, u: u,
-        np.random.default_rng(0).uniform(-1.0, 1.0, size=(1, steps, env.d_a)),
+        np.random.default_rng(0).uniform(-env.a_max, env.a_max,
+                                         size=(1, steps, env.d_a)),
         episodes)[0]
     expert_score = lane_returns(
         env, lambda s, u: env.expert_actions(s), np.zeros((1, steps, 0)),
         episodes)[0]
     spec = EnvSpec(
-        env_id=env_id, d_s=env.d_s, d_a=env.d_a, a_max=1.0, t_max=env.t_max,
+        env_id=env_id, d_s=env.d_s, d_a=env.d_a, a_max=env.a_max,
+        t_max=env.t_max,
         reward_kind=env.reward_kind,
         random_score=float(random_score), expert_score=float(expert_score),
     ).validate()
@@ -411,56 +450,27 @@ def _calibrate_medium_sigma(env_id, rng, target):
 
 def generate_dataset(env_id, tier, n_traj, seed):
     """Offline dataset tiers: medium (noisy expert at ~1/3 score),
-    medium-replay (mixture from poor to medium), stitch (StitchChain only:
-    two families that only solve the task when composed)."""
+    medium-replay (mixture from poor to medium), and any tier of the env
+    class's own, such as StitchChain's `stitch`. An env offers the tiers
+    its class lists in `tiers`."""
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    env = env_class(env_id)
+    if tier not in env.tiers:
+        raise ValueError(f"{env_id} has no tier {tier!r}; it offers "
+                         f"{', '.join(env.tiers)}")
     rng = np.random.default_rng(seed)
     spec = make_env_spec(env_id)
-    env = env_class(env_id)
-
     if tier == "stitch":
-        if env_id != "stitchchain":
-            raise ValueError("stitch tier is only defined for stitchchain")
-
-        # Family A: 0 -> 4, then wander below 5. Return 0. Its draws depend
-        # on the state, and each episode continues the stream where the one
-        # before stopped, so its episodes run one at a time, in order.
-        full_speed = np.ones((1, 1))
-
-        def family_a(obs, t):
-            pos = obs[0, 0]
-            if pos < 4.0 and rng.uniform() < 0.97:
-                return full_speed
-            # min(max(...)) is np.clip on one float, at a quarter the cost.
-            return np.array([[min(max(rng.normal(0.0, 0.25), -0.45), 0.45)
-                              if pos < 4.5 else
-                              min(max(rng.normal(-0.2, 0.2), -0.45), 0.1)]])
-
-        trajs = [None] * n_traj
-        trajs[0::2] = [_record(env, family_a, 1)[0]
-                       for _ in range(0, n_traj, 2)]
-        # Family B: teleported start at 4, straight to 8. Return 1. It draws
-        # nothing, so all its episodes run as one batch.
-        n_b = n_traj // 2
-        trajs[1::2] = _record(env, lambda obs, t: np.ones((n_b, 1)), n_b,
-                              start=np.full((n_b, 1), 4.0))
-        assert all(t.ret == 0.0 for t in trajs[0::2]), \
-            "family A must never reach the goal"
-        assert all(t.ret == 1.0 for t in trajs[1::2])
-        assert not any(t.states[0, 0] == 0.0 and t.ret > 0.0 for t in trajs), \
-            "stitch dataset must not contain a full solution"
-        return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
+        return TrajectoryStore(env_id, spec.d_s, spec.d_a,
+                               env.stitch_dataset(n_traj, rng))
 
     target_medium = spec.random_score + (spec.expert_score - spec.random_score) / 3.0
+    sigma = _calibrate_medium_sigma(env_id, rng, target_medium)
     if tier == "medium":
-        sigma = _calibrate_medium_sigma(env_id, rng, target_medium)
         sigmas = [sigma] * n_traj
-    elif tier == "medium-replay":
-        sigma = _calibrate_medium_sigma(env_id, rng, target_medium)
+    else:                                                  # medium-replay
         sigmas = list(np.linspace(max(2 * sigma, 1.0), sigma, n_traj))
-    else:
-        raise ValueError(f"unknown tier {tier!r} for env {env_id!r}")
 
     if env.fixed_length:
         # Every episode draws t_max rows, so all of them run as one batch on
@@ -482,58 +492,23 @@ def generate_dataset(env_id, tier, n_traj, seed):
 
 
 # ---------------------------------------------------------------------------
-# Rollout (inference loop)
+# One episode under any policy
 # ---------------------------------------------------------------------------
 
-def rollout(bundle, env, rtg_scale, rng, mode="drdt3"):
-    """One evaluated episode following the inference procedure: sliding
-    K-step context, RTG starting at `initial_rtg(bundle.initial_return,
-    rtg_scale)` and decremented by observed rewards, coarse prediction
-    optionally refined by the diffusion chain. No autodiff graph is
-    recorded. Returns (return, trajectory, starting RTG)."""
-    spec = make_env_spec(env.env_id)
-    cfg = bundle.config
-    k = cfg.context_len
-    sched = vp_schedule(cfg.n_diffusion_steps, cfg.beta_min, cfg.beta_max)
-
-    g0 = initial_rtg(bundle.initial_return, rtg_scale)
-
-    # The raw episode so far; row t is step t.
-    states = np.zeros((spec.t_max, spec.d_s))
-    actions = np.zeros((spec.t_max, spec.d_a))
-    rewards = np.zeros(spec.t_max)
-    rtgs = np.zeros(spec.t_max)
+def rollout(env, policy):
+    """One episode of `env` from its start state, as a Trajectory. At step
+    t, `policy(states, actions, rewards, t)` returns the action; it sees the
+    episode so far in the (t_max, .) arrays: rows < t, and the state to act
+    on in `states[t]`."""
+    states = np.zeros((env.t_max, env.d_s))
+    actions = np.zeros((env.t_max, env.d_a))
+    rewards = np.zeros(env.t_max)
     state = env.reset()
-    g = g0
-    done = False
     t = 0
-    with ad.no_grad():
-        while not done:
-            states[t], rtgs[t] = state, g
-            start = max(0, t - k + 1)
-            steps = slice(start, t + 1)
-            batch = ContextBatch.zeros(1, k, spec.d_s, spec.d_a)
-            batch.set_row(0, start, rtgs[steps], states[steps], actions[steps],
-                          bundle.rtg_norm, bundle.state_mean, bundle.state_std)
-            if not cfg.condition_on_rtg:
-                batch.rtgs[:] = 0.0
-            # Steps past the timestep table reuse its last row.
-            np.minimum(batch.timesteps, cfg.max_episode_len - 1,
-                       out=batch.timesteps)
-            coarse = predict_coarse_actions_batch(batch, bundle.dt3).data[0, -1]
-            if mode == "drdt3":
-                action = sample_action(coarse, bundle.noise, sched, rng,
-                                       action_bound=spec.a_max)
-            elif mode == "dt3-only":
-                action = np.clip(coarse, -spec.a_max, spec.a_max)
-            else:
-                raise ValueError(f"unknown rollout mode {mode!r}")
-
-            actions[t] = action
-            state, r, done = env.step(action)
-            rewards[t] = r
-            g -= r
-            t += 1
-
-    traj = Trajectory(states[:t], actions[:t], rewards[:t])
-    return traj.ret, traj, g0
+    done = False
+    while not done:
+        states[t] = state
+        actions[t] = action = policy(states, actions, rewards, t)
+        state, rewards[t], done = env.step(action)
+        t += 1
+    return Trajectory(states[:t], actions[:t], rewards[:t])

@@ -3,6 +3,9 @@
 Both parameter groups are updated jointly from the first step; the diffusion
 loss conditions on the newest coarse action so its gradient reaches the
 sequence model through the condition path even at zeta = 0.
+
+Evaluation runs the inference procedure (`rollout_policy`) as the policy of
+the model-free episode loop `envs.rollout`.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DArray
 from .bundle import fresh_bundle, save_bundle
-from .diffusion import diffusion_loss, vp_schedule
+from .diffusion import diffusion_loss, sample_action, vp_schedule
 from .dt3 import ContextBatch, predict_coarse_actions_batch
-from .envs import make_env, make_env_spec, rollout, normalized_score
+from .envs import (initial_rtg, make_env, make_env_spec, normalized_score,
+                   rollout)
 
 
 class TrainingAborted(RuntimeError):
@@ -204,12 +208,77 @@ def sample_context_batch(store, k, batch_size, rng, spec):
 
 
 # ---------------------------------------------------------------------------
-# Training loop
+# Evaluation
 # ---------------------------------------------------------------------------
+
+# The largest normalized starting RTG that evaluation accepts. Every
+# forward product is at most quadratic in the RTG token (the attention
+# scores, the layer norm's mean of squares), so the RTG must stay well below
+# sqrt(float64 max) ~ 1.3e154. A fresh d=128 bundle, a d=32 stitch bundle
+# after 4000 updates and a d=128 pointreach bundle after 300 all first
+# overflow at a start of 1e155. 1e100 leaves the RTG token's weights room to
+# grow by a factor of 1e54.
+MAX_RTG_START = 1e100
+
+
+def starting_rtg(bundle, rtg_scale):
+    """`initial_rtg(bundle.initial_return, rtg_scale)`, or ValueError if it
+    is more than MAX_RTG_START in the units the model sees (divided by
+    `bundle.rtg_norm`). A bundle with `condition_on_rtg` off never sees the
+    RTG, so any start is accepted."""
+    g0 = initial_rtg(bundle.initial_return, rtg_scale)
+    if bundle.config.condition_on_rtg and \
+            not abs(g0 / bundle.rtg_norm) <= MAX_RTG_START:
+        raise ValueError(
+            f"rtg scale eta {rtg_scale:g} starts the return-to-go at {g0:g}, "
+            f"{g0 / bundle.rtg_norm:g} after normalization; the model "
+            f"represents at most {MAX_RTG_START:g}")
+    return g0
+
+
+def rollout_policy(bundle, g0, rng, mode="drdt3"):
+    """The inference procedure as an `envs.rollout` policy: a sliding
+    K-step context in `ContextBatch.set_row`'s layout, with the RTG starting
+    at g0 and decremented by each observed reward, and the coarse action of
+    the newest step, refined by the diffusion chain (mode "drdt3", drawing
+    from `rng`) or clipped to the action box (mode "dt3-only"). No autodiff
+    graph is recorded."""
+    if mode not in ("drdt3", "dt3-only"):
+        raise ValueError(f"unknown rollout mode {mode!r}")
+    spec = make_env_spec(bundle.env_id)
+    cfg = bundle.config
+    k = cfg.context_len
+    sched = vp_schedule(cfg.n_diffusion_steps, cfg.beta_min, cfg.beta_max)
+    rtgs = np.zeros(spec.t_max)
+
+    def act(states, actions, rewards, t):
+        # One subtraction per observed reward, in step order: a running
+        # `g -= r`.
+        rtgs[t] = g0 if t == 0 else rtgs[t - 1] - rewards[t - 1]
+        start = max(0, t - k + 1)
+        steps = slice(start, t + 1)
+        batch = ContextBatch.zeros(1, k, spec.d_s, spec.d_a)
+        batch.set_row(0, start, rtgs[steps], states[steps], actions[steps],
+                      bundle.rtg_norm, bundle.state_mean, bundle.state_std)
+        if not cfg.condition_on_rtg:
+            batch.rtgs[:] = 0.0
+        # Steps past the timestep table reuse its last row.
+        np.minimum(batch.timesteps, cfg.max_episode_len - 1,
+                   out=batch.timesteps)
+        with ad.no_grad():
+            coarse = predict_coarse_actions_batch(batch, bundle.dt3).data[0, -1]
+        if mode == "dt3-only":
+            return np.clip(coarse, -spec.a_max, spec.a_max)
+        return sample_action(coarse, bundle.noise, sched, rng,
+                             action_bound=spec.a_max)
+    return act
+
 
 def evaluate_episodes(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
     """Per-episode returns, success flags (1.0 or 0.0) and starting RTGs,
-    as three float arrays. Episode `ep` draws from `default_rng((seed, ep))`.
+    as three float arrays. Every episode starts at `starting_rtg(bundle,
+    rtg_scale)` and runs `rollout_policy`; episode `ep` draws from
+    `default_rng((seed, ep))`.
 
     Success on a sparse-reward env is any reward; on a dense-reward env it is
     a return at or above the env's expert score.
@@ -217,15 +286,15 @@ def evaluate_episodes(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     spec = make_env_spec(bundle.env_id)
-    returns, g0s = np.zeros(episodes), np.zeros(episodes)
+    g0 = starting_rtg(bundle, rtg_scale)
+    returns = np.zeros(episodes)
     for ep in range(episodes):
-        env = make_env(bundle.env_id)
-        rng = np.random.default_rng((seed, ep))
-        returns[ep], _, g0s[ep] = rollout(bundle, env, rtg_scale, rng,
-                                          mode=mode)
+        policy = rollout_policy(bundle, g0, np.random.default_rng((seed, ep)),
+                                mode)
+        returns[ep] = rollout(make_env(bundle.env_id), policy).ret
     hit = returns > 0.0 if spec.reward_kind == "sparse" \
         else returns >= spec.expert_score
-    return returns, hit.astype(np.float64), g0s
+    return returns, hit.astype(np.float64), np.full(episodes, g0)
 
 
 def evaluate_bundle(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
@@ -236,6 +305,10 @@ def evaluate_bundle(bundle, episodes, seed, rtg_scale=1.0, mode="drdt3"):
     return (float(returns.mean()), float(successes.mean()),
             normalized_score(returns.mean(), spec))
 
+
+# ---------------------------------------------------------------------------
+# Training loop
+# ---------------------------------------------------------------------------
 
 def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
           log=None):
@@ -274,6 +347,11 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
     )
     if not resuming:
         bundle = fresh_bundle(config, store)
+    if eval_each_epoch and config.eval_episodes > 0:
+        try:
+            starting_rtg(bundle, config.rtg_scale)
+        except ValueError as e:
+            raise DatasetRejected(e) from None
     sched = vp_schedule(config.n_diffusion_steps, config.beta_min,
                         config.beta_max)
     params = bundle.parameters()

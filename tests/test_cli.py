@@ -1,5 +1,7 @@
 import csv
 import os
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +55,33 @@ class TestGenData:
         from_zero = [t.ret for t in store.trajectories
                      if t.states[0, 0] == 0.0]
         assert max(from_zero) == 0.0
+
+    def test_unsupported_env_tier_pair_exit_one(self, tmp_path, capsys,
+                                                monkeypatch):
+        """Both names are valid choices, but pointreach offers no stitch
+        tier: exit 1 before any episode runs or any file is written."""
+        from drdt3 import envs
+        monkeypatch.setattr(envs, "run_lockstep", None)  # must not run
+        rc = main(["gen-data", "--env", "pointreach", "--tier", "stitch",
+                   "--n-traj", "4", "--out", str(tmp_path / "d.bin")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: pointreach has no tier 'stitch'")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_choices_come_from_the_registries(self):
+        from drdt3 import envs
+        from drdt3.cli import build_parser
+        commands = build_parser()._subparsers._group_actions[0].choices
+
+        def choices(command, dest):
+            return next(a.choices for a in commands[command]._actions
+                        if a.dest == dest)
+
+        assert choices("gen-data", "env") == list(envs.ENVS)
+        assert set(choices("gen-data", "tier")) == {
+            tier for cls in envs.ENVS.values() for tier in cls.tiers}
+        assert choices("check", "scope") == [*checks.SCOPES, "all"]
 
     def test_zero_trajectories_is_an_error(self, tmp_path):
         rc = main(["gen-data", "--env", "stitchchain", "--tier", "stitch",
@@ -187,17 +216,21 @@ class TestTrain:
 
     def test_nonfinite_eval_action_exit_one(self, workspace, tmp_path,
                                              capsys):
-        """An RTG scale that overflows the model gives NaN actions in the
-        per-epoch evaluation: exit 1 with the env's message."""
+        """An RTG scale that would overflow the model in the per-epoch
+        evaluation is rejected before the first update: exit 1, no numpy
+        warning, no run written."""
         cfg = tmp_path / "huge-rtg.cfg"
         cfg.write_text(TINY_CFG + "rtg_scale = 1e308\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["train", "--config", str(cfg), "--data",
                        str(workspace / "stitch.bin"), "--out",
                        str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "action must be finite" in err and "Traceback" not in err
+        assert "represents at most" in err and "Traceback" not in err
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert not (tmp_path / "r" / "updates.csv").exists()
 
     def test_missing_data_exit_one(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
@@ -326,15 +359,36 @@ class TestEval:
 
     @pytest.mark.parametrize("mode", ["drdt3", "dt3-only"])
     def test_nonfinite_action_exit_one(self, workspace, capsys, mode):
-        """--eta 1e308 is finite but overflows the stitch bundle's model
-        into NaN actions, which the env rejects."""
+        """--eta 1e308 is finite but would overflow the model into NaN
+        actions: it is rejected before any forward pass, with no numpy
+        warning."""
         bundle = str(workspace / "run" / "bundle.drdt3")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["eval", "--bundle", bundle, "--episodes", "1",
                        "--eta", "1e308", "--mode", mode])
         captured = capsys.readouterr()
         assert rc == 1 and "return:" not in captured.out
-        assert captured.err.startswith("error: action must be finite")
+        assert captured.err.startswith("error: rtg scale eta 1e+308")
+        assert "represents at most" in captured.err
+        assert "Traceback" not in captured.err
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("mode", ["drdt3", "dt3-only"])
+    def test_trained_bundle_at_rtg_bound_acts_finitely(self, workspace, sign,
+                                                       mode):
+        """The trained bundle, started at +-MAX_RTG_START in model units,
+        acts finitely with no numpy warning."""
+        from drdt3.bundle import load_bundle
+        from drdt3.envs import make_env, rollout
+        from drdt3.training import MAX_RTG_START, rollout_policy
+        bundle = load_bundle(str(workspace / "run" / "bundle.drdt3"))
+        g0 = sign * MAX_RTG_START * bundle.rtg_norm
+        traj = rollout(make_env(bundle.env_id), rollout_policy(
+            bundle, g0, np.random.default_rng(0), mode))
+        assert np.isfinite(traj.actions).all()
 
     def test_dense_env_success_is_expert_score(self, tmp_path, capsys,
                                                monkeypatch):
@@ -349,7 +403,7 @@ class TestEval:
         save_bundle(fresh_bundle(parse_config_text(TINY_CFG), store), path)
         expert = make_env_spec("pointreach").expert_score
         monkeypatch.setattr(training, "rollout",
-                            lambda *args, **kwargs: (expert, None, 0.0))
+                            lambda env, policy: SimpleNamespace(ret=expert))
         assert main(["eval", "--bundle", str(path), "--episodes", "2"]) == 0
         assert "success rate: 1.000" in capsys.readouterr().out
 

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drdt3 import diffusion, envs
-from drdt3.bundle import fresh_bundle
-from drdt3.config import TrainConfig
+from drdt3 import envs
 from drdt3.envs import (StitchChain, PointReach, Trajectory, TrajectoryStore,
                         compute_rtg, generate_dataset, initial_rtg, make_env,
                         make_env_spec, normalized_score, rollout)
@@ -182,54 +180,39 @@ class TestInitialRtg:
         with pytest.raises(ValueError, match="finite"):
             initial_rtg(best, float("inf"))
 
-    @pytest.mark.parametrize("env_id,tier", [("stitchchain", "stitch"),
-                                             ("pointreach", "medium")])
-    def test_rollout_starts_from_initial_rtg(self, env_id, tier):
-        store = generate_dataset(env_id, tier, 2, seed=0)
-        cfg = TrainConfig(embed_dim=8, cond_hidden=8, time_embed_dim=4,
-                          mlp_expansion=2).validate()
-        bundle = fresh_bundle(cfg, store)
-        # stitch's best return is +1 (multiplied), pointreach's is < 0 (divided)
-        assert (bundle.initial_return > 0) == (env_id == "stitchchain")
-        _, _, g0 = rollout(bundle, make_env(env_id), 1.5,
-                           np.random.default_rng(0), mode="dt3-only")
-        assert g0 == initial_rtg(bundle.initial_return, 1.5)
-
 
 class TestRollout:
-    @pytest.mark.parametrize("env_id,tier", [("stitchchain", "stitch"),
-                                             ("pointreach", "medium")])
-    def test_drdt3_episode_records_no_graph(self, env_id, tier, monkeypatch):
-        store = generate_dataset(env_id, tier, 2, seed=0)
-        cfg = TrainConfig(embed_dim=8, cond_hidden=8, time_embed_dim=4,
-                          mlp_expansion=2).validate()
-        bundle = fresh_bundle(cfg, store)
-        outputs = []
+    @pytest.mark.parametrize("env_cls", [PointReach, StitchChain])
+    def test_expert_episode_equals_lockstep_record(self, env_cls):
+        """`rollout` with the scripted expert records bitwise the episode
+        that `run_lockstep` records for one lane."""
+        traj = rollout(env_cls(), lambda states, actions, rewards, t:
+                       env_cls.expert_actions(states[t:t + 1])[0])
+        rewards, lengths, observations, actions = envs.run_lockstep(
+            env_cls, lambda obs, t: env_cls.expert_actions(obs), 1,
+            record=True)
+        m = lengths[0]
+        assert traj.length == m
+        assert np.array_equal(traj.states, observations[0, :m])
+        assert np.array_equal(traj.actions, actions[0, :m])
+        assert np.array_equal(traj.rewards, rewards[0, :m])
 
-        def recording(fn):
-            def wrapper(*args, **kwargs):
-                outputs.append(fn(*args, **kwargs))
-                return outputs[-1]
-            return wrapper
+    def test_policy_sees_the_episode_so_far(self):
+        """At step t the policy reads the state to act on in row t and the
+        earlier steps' actions and rewards in rows < t."""
+        seen = []
 
-        monkeypatch.setattr(envs, "predict_coarse_actions_batch",
-                            recording(envs.predict_coarse_actions_batch))
-        monkeypatch.setattr(diffusion, "predict_noise",
-                            recording(diffusion.predict_noise))
-        monkeypatch.setattr(diffusion, "condition",
-                            recording(diffusion.condition))
-        _, traj, _ = rollout(bundle, make_env(env_id), 1.0,
-                             np.random.default_rng(0), mode="drdt3")
-        # one coarse prediction, one conditioning of all N reverse steps and
-        # N noise predictions per env-step
-        conditionings = [out for out in outputs if isinstance(out, tuple)]
-        assert len(conditionings) == traj.length
-        assert len(outputs) == traj.length * (2 + cfg.n_diffusion_steps)
-        assert all(row.shape[0] == cfg.n_diffusion_steps
-                   for out in conditionings for row in out)
-        arrays = [x for out in outputs
-                  for x in (out if isinstance(out, tuple) else (out,))]
-        assert all(x._parents == () for x in arrays)
+        def policy(states, actions, rewards, t):
+            seen.append((states[t, 0], actions[:t, 0].copy(),
+                         rewards[:t].copy()))
+            return np.array([1.0])
+
+        traj = rollout(StitchChain(), policy)
+        assert traj.length == 8 and traj.ret == 1.0
+        for t, (state, past_actions, past_rewards) in enumerate(seen):
+            assert state == float(t)
+            assert np.array_equal(past_actions, np.ones(t))
+            assert np.array_equal(past_rewards, traj.rewards[:t])
 
 
 class TestEnvs:
@@ -429,10 +412,11 @@ class TestNormalizedScore:
 
 
 class TestGenerateDataset:
+    # Every (env, tier) pair that generate_dataset and `drdt3 gen-data`
+    # accept.
     @pytest.mark.parametrize("env_id,tier", [
-        ("pointreach", "medium"), ("pointreach", "medium-replay"),
-        ("stitchchain", "stitch"), ("stitchchain", "medium"),
-        ("stitchchain", "medium-replay")])
+        (env_id, tier) for env_id, cls in envs.ENVS.items()
+        for tier in cls.tiers])
     @pytest.mark.parametrize("n_traj", [1, 7, 40])
     def test_bitwise_equal_sequential_recorder(self, env_id, tier, n_traj):
         for seed in range(5):

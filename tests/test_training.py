@@ -4,16 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drdt3 import autodiff as ad
-from drdt3 import checks
+from drdt3 import checks, diffusion, training
 from drdt3.autodiff import DArray
 from drdt3.bundle import fresh_bundle, load_bundle, save_bundle
 from drdt3.config import ConfigError, TrainConfig, parse_config_text
 from drdt3.diffusion import diffusion_loss, vp_schedule
 from drdt3.dt3 import ContextBatch, predict_coarse_actions_batch
-from drdt3.envs import generate_dataset, make_env_spec
-from drdt3.training import (_ADAM_BLOCK, AdamW, TrainingAborted,
-                            clip_grad_norm, dt3_loss, sample_context_batch,
-                            train, unified_loss)
+from drdt3.envs import (generate_dataset, initial_rtg, make_env,
+                        make_env_spec, rollout)
+from drdt3.training import (_ADAM_BLOCK, MAX_RTG_START, AdamW,
+                            DatasetRejected, TrainingAborted, clip_grad_norm,
+                            dt3_loss, evaluate_episodes, rollout_policy,
+                            sample_context_batch, starting_rtg, train,
+                            unified_loss)
 
 
 @pytest.fixture(scope="module")
@@ -532,3 +535,144 @@ class TestTrain:
         assert (tmp_path / "bundle.drdt3").exists()
         assert (tmp_path / "updates.csv").exists()
         assert (tmp_path / "evals.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+ROLLOUT_CASES = [("stitchchain", "stitch"), ("pointreach", "medium")]
+
+
+def _eval_bundle(env_id, tier, cfg=None):
+    """A fresh bundle for a 2-trajectory dataset, tiny unless `cfg` says."""
+    store = generate_dataset(env_id, tier, 2, seed=0)
+    cfg = cfg or TrainConfig(embed_dim=8, cond_hidden=8, time_embed_dim=4,
+                             mlp_expansion=2).validate()
+    return fresh_bundle(cfg, store)
+
+
+def _recording(outputs, fn):
+    def wrapper(*args, **kwargs):
+        outputs.append(fn(*args, **kwargs))
+        return outputs[-1]
+    return wrapper
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("env_id,tier", ROLLOUT_CASES)
+    def test_rollout_starts_from_initial_rtg(self, env_id, tier, monkeypatch):
+        """The first context's RTG is initial_rtg's target, and each later
+        one is lowered by the rewards observed so far, in step order."""
+        bundle = _eval_bundle(env_id, tier)
+        # stitch's best return is +1 (multiplied), pointreach's is < 0 (divided)
+        assert (bundle.initial_return > 0) == (env_id == "stitchchain")
+        newest_rtgs, trajs = [], []
+        predict = training.predict_coarse_actions_batch
+
+        def recording_predict(batch, params):
+            newest_rtgs.append(batch.rtgs[0, -1])
+            return predict(batch, params)
+
+        monkeypatch.setattr(training, "predict_coarse_actions_batch",
+                            recording_predict)
+        monkeypatch.setattr(training, "rollout",
+                            _recording(trajs, training.rollout))
+        _, _, g0s = evaluate_episodes(bundle, 1, seed=0, rtg_scale=1.5,
+                                      mode="dt3-only")
+        g = initial_rtg(bundle.initial_return, 1.5)
+        assert g0s[0] == g
+        assert len(newest_rtgs) == trajs[0].length
+        for rtg, r in zip(newest_rtgs, trajs[0].rewards):
+            assert rtg == g / bundle.rtg_norm
+            g -= r
+
+    @pytest.mark.parametrize("env_id,tier", ROLLOUT_CASES)
+    def test_drdt3_episode_records_no_graph(self, env_id, tier, monkeypatch):
+        bundle = _eval_bundle(env_id, tier)
+        cfg = bundle.config
+        outputs = []
+        monkeypatch.setattr(
+            training, "predict_coarse_actions_batch",
+            _recording(outputs, training.predict_coarse_actions_batch))
+        monkeypatch.setattr(diffusion, "predict_noise",
+                            _recording(outputs, diffusion.predict_noise))
+        monkeypatch.setattr(diffusion, "condition",
+                            _recording(outputs, diffusion.condition))
+        policy = rollout_policy(bundle, starting_rtg(bundle, 1.0),
+                                np.random.default_rng(0), mode="drdt3")
+        traj = rollout(make_env(env_id), policy)
+        # one coarse prediction, one conditioning of all N reverse steps and
+        # N noise predictions per env-step
+        conditionings = [out for out in outputs if isinstance(out, tuple)]
+        assert len(conditionings) == traj.length
+        assert len(outputs) == traj.length * (2 + cfg.n_diffusion_steps)
+        assert all(row.shape[0] == cfg.n_diffusion_steps
+                   for out in conditionings for row in out)
+        arrays = [x for out in outputs
+                  for x in (out if isinstance(out, tuple) else (out,))]
+        assert all(x._parents == () for x in arrays)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown rollout mode"):
+            evaluate_episodes(_eval_bundle("stitchchain", "stitch"), 1, 0,
+                              mode="greedy")
+
+    @pytest.mark.parametrize("eta", [1.01 * MAX_RTG_START, 1e308])
+    def test_start_beyond_bound_rejected_before_any_forward(self, eta,
+                                                            monkeypatch):
+        bundle = _eval_bundle("stitchchain", "stitch")
+        monkeypatch.setattr(training, "predict_coarse_actions_batch",
+                            None)  # must not run
+        with pytest.raises(ValueError, match="represents at most 1e\\+100"):
+            evaluate_episodes(bundle, 1, seed=0, rtg_scale=eta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bc_bundle_accepts_any_start(self):
+        """With condition_on_rtg off the model never sees the RTG, so a
+        start past the bound is used, and acts as any other start."""
+        cfg = TrainConfig(embed_dim=8, cond_hidden=8, time_embed_dim=4,
+                          mlp_expansion=2, objective="dt3_only",
+                          condition_on_rtg=False).validate()
+        bundle = _eval_bundle("stitchchain", "stitch", cfg)
+        eta = 1e100 * MAX_RTG_START
+        far = starting_rtg(bundle, eta)
+        assert far == initial_rtg(bundle.initial_return, eta)
+        evaluate_episodes(bundle, 1, seed=0, rtg_scale=eta, mode="dt3-only")
+        actions = [rollout(make_env("stitchchain"), rollout_policy(
+            bundle, g0, np.random.default_rng(0), "dt3-only")).actions
+            for g0 in (far, starting_rtg(bundle, 1.0))]
+        assert np.array_equal(*actions)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("env_id,tier", ROLLOUT_CASES)
+    @pytest.mark.parametrize("mode", ["drdt3", "dt3-only"])
+    def test_default_scale_start_at_bound_gives_finite_actions(
+            self, env_id, tier, mode):
+        """A fresh d=128 bundle started at +-MAX_RTG_START (model units)
+        acts finitely, with no numpy warning."""
+        bundle = _eval_bundle(env_id, tier, TrainConfig().validate())
+        assert bundle.config.embed_dim == 128
+        best, norm = bundle.initial_return, bundle.rtg_norm
+        # stitch multiplies its best return (+1) by eta; pointreach divides
+        # its best (< 0) by eta. Either way |g0| / rtg_norm lands on the bound.
+        eta = MAX_RTG_START * norm / best if best > 0 else \
+            -best / (MAX_RTG_START * norm)
+        g0 = starting_rtg(bundle, eta)
+        assert abs(g0 / norm) == pytest.approx(MAX_RTG_START, rel=1e-15)
+        traj = rollout(make_env(env_id), rollout_policy(
+            bundle, g0, np.random.default_rng(0), mode))
+        assert np.isfinite(traj.actions).all()
+
+    def test_train_rejects_start_beyond_bound_before_first_update(
+            self, store, tmp_path):
+        cfg = tiny_config(eval_episodes=1, rtg_scale=1e101)
+        with pytest.raises(DatasetRejected, match="represents at most"):
+            train(cfg, store, out_dir=str(tmp_path))
+        assert not (tmp_path / "updates.csv").exists()
+        # Without per-epoch evaluation the start is never used.
+        train(cfg, store, eval_each_epoch=False)
+        # Nor is it seen without return conditioning.
+        train(tiny_config(eval_episodes=1, rtg_scale=1e101,
+                          condition_on_rtg=False), store)
+
