@@ -21,6 +21,7 @@ from . import autodiff as ad
 from .config import ConfigError, TrainConfig, config_to_dict
 from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
+from .envs import env_class
 from .store_io import atomic_write
 
 MAGIC = b"drdt3-bundle/3\n"
@@ -104,11 +105,22 @@ def load_bundle(path):
             if odd:
                 raise ConfigError(f"unknown or missing keys {sorted(odd)}")
             config = TrainConfig(**header["config"]).validate()
+            # Only the env's own dimensions can run in it.
+            env = env_class(header["env_id"])
+            if (header["d_s"], header["d_a"]) != (env.d_s, env.d_a):
+                raise ValueError(
+                    f"d_s={header['d_s']}, d_a={header['d_a']} differ from "
+                    f"{env.env_id}'s d_s={env.d_s}, d_a={env.d_a}")
+            mean, std = header["state_mean"], header["state_std"]
+            if not len(mean) == len(std) == env.d_s:
+                raise ValueError(
+                    f"state_mean has {len(mean)} entries and state_std "
+                    f"{len(std)}; {env.env_id}'s states have {env.d_s}")
             # The shapes come from the config; the values are read below.
             bundle = PolicyBundle(
                 config, header["env_id"], header["d_s"], header["d_a"],
-                header["state_mean"], header["state_std"],
-                header["rtg_norm"], header["initial_return"], header["seed"],
+                mean, std, header["rtg_norm"], header["initial_return"],
+                header["seed"],
             )
             manifest = header["manifest"]
         except (ValueError, KeyError, TypeError) as e:

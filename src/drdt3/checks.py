@@ -61,8 +61,8 @@ def check_primitives(rng=None, trials=100):
         check("concat", lambda: sq(ad.concat([x, y], axis=-1)), [x, y])
         check("take_slice", lambda: sq(x[:, 1:4]), [x])
         # Two modalities over two rows of 3 steps into a 6-row table: row 0
-        # has a one-step padded prefix (timestep 0, as `set_row` leaves
-        # it), row 1 repeats a timestep.
+        # has a one-step padded prefix (timestep 0, as `context_windows`
+        # leaves it), row 1 repeats a timestep.
         table = _rand(rng, 6, 3)
         steps = rng.integers(0, 6, size=(2, 3))
         steps[0, 0], steps[1, 2] = 0, steps[1, 0]

@@ -51,10 +51,14 @@ def vp_schedule(n_steps, beta_min=0.1, beta_max=10.0):
 
 
 def forward_noise(a0, i, eps, sched):
-    """a_i = sqrt(abar_i) a0 + sqrt(1 - abar_i) eps."""
+    """a_i = sqrt(abar_i) a0 + sqrt(1 - abar_i) eps, for one step i or for
+    an array of steps over the leading axes of a0, each abar_i broadcast
+    over the trailing axes."""
     _check_step(i, sched)
-    ab = sched.alpha_bar[i - 1]
-    return np.sqrt(ab) * np.asarray(a0) + np.sqrt(1.0 - ab) * np.asarray(eps)
+    a0 = np.asarray(a0)
+    ab = sched.alpha_bar[np.asarray(i) - 1]
+    ab = np.reshape(ab, np.shape(ab) + (1,) * (a0.ndim - np.ndim(ab)))
+    return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * np.asarray(eps)
 
 
 def _check_step(i, sched):
@@ -235,9 +239,7 @@ def diffusion_loss(a0, cond, i, eps, params, sched):
             f"batch sizes disagree: a0 {a0.shape}, cond {cond_data.shape}, "
             f"i {i.shape}, eps {eps.shape}"
         )
-    _check_step(i, sched)
-    ab = sched.alpha_bar[i - 1][:, None]
-    a_i = DArray(np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps)
+    a_i = DArray(forward_noise(a0, i, eps, sched))
     eps_hat = predict_noise(a_i, condition(cond, i, params), params)
     sq = ad.square(eps_hat - DArray(eps))
     # Mean over the batch of per-sample squared norms.

@@ -13,12 +13,13 @@ sub-layer ends in one `autodiff.layer_norm` with its residual operand.
 Attention and the fast weight's writes span all 3K tokens; its read-out and
 the norms after it run only at the K state tokens, the rows the head reads.
 
-The context layout is defined by `ContextBatch.set_row`, which fills the
-rollout's context: a zero-padded prefix, then the newest n <= K steps, with
+One function, `context_windows`, builds every context the model reads,
+training batches and rollout steps alike, by one gather over concatenated
+step arrays: a zero-padded prefix, then the newest n <= K steps, with
 returns-to-go divided by the dataset's largest absolute return,
 standardized states, consecutive timesteps, and the newest action zeroed.
-`training.sample_context_batch` fills a training batch in the same layout
-with one gather over all rows; a test keeps the two bitwise equal.
+The model applies `condition_on_rtg` itself: with it off, the embedding
+reads zeros in place of the returns-to-go.
 """
 
 from __future__ import annotations
@@ -55,35 +56,35 @@ class ContextBatch:
         self.timesteps = np.asarray(timesteps, dtype=np.int64)
         self.pad_mask = np.asarray(pad_mask, dtype=bool)
 
-    @classmethod
-    def zeros(cls, b, k, d_s, d_a):
-        """B all-padding rows of K steps, to be filled by `set_row`."""
-        return cls(np.zeros((b, k)), np.zeros((b, k, d_s)),
-                   np.zeros((b, k, d_a)), np.zeros((b, k), dtype=np.int64),
-                   np.zeros((b, k), dtype=bool))
 
-    def set_row(self, j, start, rtgs, states, actions, rtg_norm, state_mean,
-                state_std):
-        """Fill row j from the raw steps start .. start+n-1 (n = len(rtgs)
-        <= K), after a zero-padded prefix of K - n steps. Returns-to-go are
-        divided by `rtg_norm`, states become (s - state_mean) / state_std,
-        and the newest action is zeroed: it is unknown at prediction time.
-        """
-        pad = self.context_len - len(rtgs)
-        self.rtgs[j, pad:] = rtgs / rtg_norm
-        self.states[j, pad:] = (states - state_mean) / state_std
-        self.actions[j, pad:] = actions
-        self.actions[j, -1] = 0.0
-        self.timesteps[j, pad:] = np.arange(start, start + len(rtgs))
-        self.pad_mask[j, pad:] = True
+def context_windows(rtgs, states, actions, firsts, ends, k, rtg_norm,
+                    state_mean, state_std):
+    """The K-step contexts that end at step `ends[j]` of the trajectory whose
+    first row is `firsts[j]` in the concatenated step arrays rtgs (N,),
+    states (N, d_s) and actions (N, d_a), gathered in one pass.
 
-    @property
-    def size(self):
-        return self.rtgs.shape[0]
-
-    @property
-    def context_len(self):
-        return self.rtgs.shape[1]
+    Row j holds steps max(0, ends[j] - K + 1) .. ends[j] after a zero-padded
+    prefix. Returns-to-go are divided by `rtg_norm`, states become
+    (s - state_mean) / state_std, and the newest action is zeroed: it is
+    unknown at prediction time. Returns (ContextBatch, targets), where
+    targets (B, K, d_a) are the window's actions, the newest included.
+    """
+    timesteps = ends[:, None] + np.arange(1 - k, 1)    # (B, K); < 0 is padding
+    pad = timesteps < 0
+    timesteps[pad] = 0
+    rows = firsts[:, None] + timesteps
+    rtgs = rtgs.take(rows)
+    rtgs /= rtg_norm
+    states = states.take(rows, axis=0)
+    states -= state_mean
+    states /= state_std
+    targets = actions.take(rows, axis=0)
+    rtgs[pad] = 0.0
+    states[pad] = 0.0
+    targets[pad] = 0.0
+    actions = targets.copy()
+    actions[:, -1] = 0.0
+    return ContextBatch(rtgs, states, actions, timesteps, ~pad), targets
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,7 @@ class DT3Params(ad.Params):
         self.lnf_b = DArray(np.zeros(d), requires_grad=True)
         self.head = Linear.init(rng, d, d_a)
         self.dt_mode = cfg.dt_mode
+        self.condition_on_rtg = cfg.condition_on_rtg
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,8 @@ class DT3Params(ad.Params):
 
 def embed_context(batch, params):
     """Project each modality, add timestep embeddings, interleave per step,
-    in one recorded `autodiff.embed_tokens`.
+    in one recorded `autodiff.embed_tokens`. Without `condition_on_rtg`
+    the returns-to-go are read as zeros.
 
     Returns (tokens, token_mask): tokens (B, 3K, d) with per-step order
     (rtg, state, action); token_mask (B, 3K) bool.
@@ -173,9 +176,10 @@ def embed_context(batch, params):
             f"timesteps outside embedding table of length "
             f"{params.time_table.shape[0]}"
         )
+    rtgs = batch.rtgs if params.condition_on_rtg else np.zeros_like(batch.rtgs)
     proj = (params.proj_rtg, params.proj_state, params.proj_action)
     tokens = ad.embed_tokens(
-        (batch.rtgs[..., None], batch.states, batch.actions),
+        (rtgs[..., None], batch.states, batch.actions),
         [p.w for p in proj], [p.b for p in proj], params.time_table,
         batch.timesteps)
     token_mask = np.repeat(batch.pad_mask, TOKENS_PER_STEP, axis=1)

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import DArray
 from .bundle import fresh_bundle, save_bundle
 from .diffusion import diffusion_loss, sample_action, vp_schedule
-from .dt3 import ContextBatch, predict_coarse_actions_batch
+from .dt3 import context_windows, predict_coarse_actions_batch
 from .envs import (initial_rtg, make_env, make_env_spec, normalized_score,
                    rollout)
 
@@ -176,11 +176,11 @@ def sample_context_batch(store, k, batch_size, rng, spec):
     """Subtrajectory batch: trajectory chosen proportional to its length,
     end index uniform; windows near episode start get a zero-padded prefix.
 
-    The layout is `ContextBatch.set_row`'s, filled for all rows by one
-    gather from the store's concatenated steps. Row j draws its trajectory
-    and then its end index from `rng`, the same draws, in the same order,
-    as `rng.choice(count, p=lengths / lengths.sum())` followed by
-    `rng.integers(length)`.
+    The windows come from one `dt3.context_windows` call over the store's
+    concatenated steps. Row j draws its trajectory and then its end index
+    from `rng`, the same draws, in the same order, as
+    `rng.choice(count, p=lengths / lengths.sum())` followed by
+    `rng.integers(length)`. `spec` is unused.
     """
     probs = store.lengths / store.lengths.sum()
     cdf = probs.cumsum()
@@ -191,20 +191,10 @@ def sample_context_batch(store, k, batch_size, rng, spec):
         ti = cdf.searchsorted(rng.random(), side="right")
         firsts[j] = store.offsets[ti]
         ends[j] = rng.integers(store.lengths[ti])
-    timesteps = ends[:, None] + np.arange(1 - k, 1)    # (B, K); < 0 is padding
-    pad = timesteps < 0
-    timesteps[pad] = 0
-    rows = firsts[:, None] + timesteps
-
-    rtgs = store.step_rtgs[rows] / store.max_abs_return
-    states = (store.step_states[rows] - store.state_mean) / store.state_std
-    targets = store.step_actions[rows]
-    rtgs[pad] = 0.0
-    states[pad] = 0.0
-    targets[pad] = 0.0
-    actions = targets.copy()
-    actions[:, -1] = 0.0
-    return ContextBatch(rtgs, states, actions, timesteps, ~pad), targets
+    return context_windows(store.step_rtgs, store.step_states,
+                           store.step_actions, firsts, ends, k,
+                           store.max_abs_return, store.state_mean,
+                           store.state_std)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +227,12 @@ def starting_rtg(bundle, rtg_scale):
 
 
 def rollout_policy(bundle, g0, rng, mode="drdt3"):
-    """The inference procedure as an `envs.rollout` policy: a sliding
-    K-step context in `ContextBatch.set_row`'s layout, with the RTG starting
-    at g0 and decremented by each observed reward, and the coarse action of
-    the newest step, refined by the diffusion chain (mode "drdt3", drawing
-    from `rng`) or clipped to the action box (mode "dt3-only"). No autodiff
-    graph is recorded."""
+    """The inference procedure as an `envs.rollout` policy. At step t the
+    model reads the `dt3.context_windows` window that ends at t, with the
+    RTG starting at g0 and decremented by each observed reward; the coarse
+    action of step t is refined by the diffusion chain (mode "drdt3",
+    drawing from `rng`) or clipped to the action box (mode "dt3-only"). No
+    autodiff graph is recorded."""
     if mode not in ("drdt3", "dt3-only"):
         raise ValueError(f"unknown rollout mode {mode!r}")
     spec = make_env_spec(bundle.env_id)
@@ -250,18 +240,15 @@ def rollout_policy(bundle, g0, rng, mode="drdt3"):
     k = cfg.context_len
     sched = vp_schedule(cfg.n_diffusion_steps, cfg.beta_min, cfg.beta_max)
     rtgs = np.zeros(spec.t_max)
+    first = np.zeros(1, dtype=np.int64)
 
     def act(states, actions, rewards, t):
         # One subtraction per observed reward, in step order: a running
         # `g -= r`.
         rtgs[t] = g0 if t == 0 else rtgs[t - 1] - rewards[t - 1]
-        start = max(0, t - k + 1)
-        steps = slice(start, t + 1)
-        batch = ContextBatch.zeros(1, k, spec.d_s, spec.d_a)
-        batch.set_row(0, start, rtgs[steps], states[steps], actions[steps],
-                      bundle.rtg_norm, bundle.state_mean, bundle.state_std)
-        if not cfg.condition_on_rtg:
-            batch.rtgs[:] = 0.0
+        batch, _ = context_windows(rtgs, states, actions, first,
+                                   np.array([t]), k, bundle.rtg_norm,
+                                   bundle.state_mean, bundle.state_std)
         # Steps past the timestep table reuse its last row.
         np.minimum(batch.timesteps, cfg.max_episode_len - 1,
                    out=batch.timesteps)
@@ -378,8 +365,6 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
             batch, targets = sample_context_batch(
                 store, k, config.batch_size, rng, spec
             )
-            if not config.condition_on_rtg:
-                batch.rtgs[:] = 0.0
             pred = predict_coarse_actions_batch(batch, bundle.dt3)
             l_dt3 = dt3_loss(pred, targets, batch.pad_mask, spec.a_max,
                              norm=config.dt3_loss_norm)

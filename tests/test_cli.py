@@ -276,7 +276,8 @@ class TestTrain:
     def test_resume_over_other_dataset_exit_one(self, workspace, tmp_path,
                                                 capsys, case):
         """A checkpoint only resumes over a dataset of its own env and
-        dims; pointreach episodes (50 steps) fit the longer table."""
+        dims; pointreach episodes (50 steps) fit the longer table. A
+        checkpoint whose dims are not its env's is refused on load."""
         from drdt3.bundle import PolicyBundle, load_bundle, save_bundle
         from drdt3.envs import generate_dataset
         from drdt3.store_io import save_store
@@ -300,7 +301,9 @@ class TestTrain:
         capsys.readouterr()
         assert main(args + ["--resume"]) == 1
         err = capsys.readouterr().err
-        assert "checkpoint is for" in err and "Traceback" not in err
+        message = {"other-env": "checkpoint is for",
+                   "other-dims": "d_s=2, d_a=1 differ from stitchchain's"}
+        assert message[case] in err and "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["existing-file", "under-a-file"])
     def test_unusable_out_exit_one(self, workspace, tmp_path, capsys, case):
@@ -421,6 +424,30 @@ class TestEval:
         assert main(["eval", "--bundle", str(path), "--episodes", "1"]) == 1
         err = capsys.readouterr().err
         assert "max_episode_len" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("env_id, d_s, n_norm, message", [
+        ("stitchchain", 3, 3, "d_s=3, d_a=1 differ from stitchchain's d_s=1, "
+                              "d_a=1"),
+        ("nowhere", 1, 1, "unknown env 'nowhere'"),
+        ("stitchchain", 1, 3, "state_mean has 3 entries and state_std 3; "
+                              "stitchchain's states have 1"),
+    ])
+    def test_bundle_its_env_cannot_run_exit_one(self, tmp_path, capsys,
+                                                env_id, d_s, n_norm, message):
+        """A bundle whose env is unknown, or whose dimensions or state
+        normalization are not its env's, is rejected on load, before any
+        episode runs."""
+        from drdt3.bundle import PolicyBundle, save_bundle
+        from drdt3.config import parse_config_text
+        path = tmp_path / "odd.drdt3"
+        save_bundle(PolicyBundle(parse_config_text(TINY_CFG), env_id, d_s, 1,
+                                 np.zeros(n_norm), np.ones(n_norm), 1.0, 1.0,
+                                 0),
+                    path)
+        assert main(["eval", "--bundle", str(path), "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
     def test_missing_bundle_exit_one(self, tmp_path):
         rc = main(["eval", "--bundle", str(tmp_path / "none.drdt3")])

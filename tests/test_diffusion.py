@@ -118,6 +118,25 @@ class TestForwardNoise:
         out = forward_noise(np.array([1.0]), 1, np.array([2.0]), s)
         assert abs(out[0] - (0.5 + np.sqrt(0.75) * 2)) < 1e-12
 
+    @pytest.mark.parametrize("b, d_a", [(2, 2), (3, 3), (3, 2), (4, 1),
+                                        (1, 3)])
+    def test_array_of_steps_equals_per_row_calls(self, b, d_a):
+        """Row j is noised at its own step i[j], also when B == d_a."""
+        s = vp_schedule(5)
+        rng = np.random.default_rng(10 * b + d_a)
+        a0, eps = rng.standard_normal((2, b, d_a))
+        i = rng.integers(1, 6, size=b)
+        want = np.stack([forward_noise(a0[j], int(i[j]), eps[j], s)
+                         for j in range(b)])
+        assert forward_noise(a0, i, eps, s).tobytes() == want.tobytes()
+
+    def test_zero_noise_rows_scale_by_their_own_step(self):
+        s = vp_schedule(5)
+        out = forward_noise(np.ones((2, 2)), np.array([1, 5]),
+                            np.zeros((2, 2)), s)
+        assert np.array_equal(out, np.sqrt(s.alpha_bar[[0, 4]])[:, None]
+                              * np.ones((2, 2)))
+
     def test_out_of_range(self):
         s = vp_schedule(5)
         with pytest.raises(IndexError):

@@ -8,9 +8,11 @@ from drdt3.diffusion import (NoiseApproximatorParams, condition,
                              predict_noise)
 from drdt3.dt3 import (STATE_ROWS, AttentionTTTBlock, ContextBatch,
                        DT3Params, Linear, TTTLinearLayer, TimestepRangeError,
-                       causal_attention,
+                       causal_attention, context_windows,
                        embed_context, predict_coarse_actions_batch,
                        ttt_forward)
+
+from context_oracle import assert_same_batch, stack, trajectory_context
 
 
 def tiny_cfg(**kw):
@@ -41,39 +43,94 @@ def predict_one(batch, params):
     return predict_coarse_actions_batch(batch, params).data[0]
 
 
-class TestSetRow:
-    """`ContextBatch.set_row` lays out one context from raw steps."""
+NORM = (2.0, np.full(3, 0.5), np.full(3, 4.0))  # rtg_norm, state mean, std
 
-    def _filled(self, n=2, k=4, start=5):
+
+class TestContextWindows:
+    """`context_windows` lays out contexts from concatenated raw steps."""
+
+    @staticmethod
+    def _trajectories(lengths=(3, 9, 1)):
         rng = np.random.default_rng(26)
-        raw = (rng.uniform(-3, 3, n), rng.uniform(-3, 3, (n, 3)),
-               rng.uniform(-1, 1, (n, 2)))
-        batch = ContextBatch.zeros(2, k, 3, 2)
-        batch.set_row(1, start, *raw, 2.0, np.full(3, 0.5), np.full(3, 4.0))
-        return batch, raw
+        return [(rng.uniform(-3, 3, n), rng.uniform(-3, 3, (n, 3)),
+                 rng.uniform(-1, 1, (n, 2))) for n in lengths]
+
+    def _windows(self, trajs, picks, k):
+        """Windows ending at (trajectory index, step) `picks`."""
+        steps = [np.concatenate(f) for f in zip(*trajs)]
+        offsets = np.cumsum([0] + [len(t[0]) for t in trajs])
+        firsts = np.array([offsets[i] for i, _ in picks])
+        ends = np.array([end for _, end in picks])
+        return context_windows(*steps, firsts, ends, k, *NORM)
 
     def test_padding_is_a_contiguous_prefix(self):
-        batch, _ = self._filled(n=2, k=4)
-        assert batch.pad_mask[1].tolist() == [False, False, True, True]
-        assert not batch.pad_mask[0].any()  # other rows are left alone
+        batch, _ = self._windows(self._trajectories(), [(1, 1), (1, 5)], 4)
+        assert batch.pad_mask[0].tolist() == [False, False, True, True]
+        assert batch.pad_mask[1].all()
 
     def test_padded_rows_are_zero(self):
-        batch, _ = self._filled(n=1, k=4)
+        batch, targets = self._windows(self._trajectories(), [(1, 0)], 4)
         for field in (batch.rtgs, batch.states, batch.actions,
-                      batch.timesteps):
-            assert not field[1, :3].any()
-            assert not field[0].any()
+                      batch.timesteps, targets):
+            assert not field[0, :3].any()
 
     def test_real_timesteps_increase_by_one(self):
-        batch, _ = self._filled(n=3, k=4, start=5)
-        assert batch.timesteps[1].tolist() == [0, 5, 6, 7]
+        batch, _ = self._windows(self._trajectories(), [(1, 2), (1, 7)], 4)
+        assert batch.timesteps.tolist() == [[0, 0, 1, 2], [4, 5, 6, 7]]
 
     def test_normalizes_and_zeroes_newest_action(self):
-        batch, (rtgs, states, actions) = self._filled(n=2, k=4)
-        assert np.array_equal(batch.rtgs[1, 2:], rtgs / 2.0)
-        assert np.array_equal(batch.states[1, 2:], (states - 0.5) / 4.0)
-        assert np.array_equal(batch.actions[1, 2], actions[0])
-        assert not batch.actions[1, 3].any()
+        trajs = self._trajectories()
+        rtgs, states, actions = trajs[1]
+        batch, targets = self._windows(trajs, [(1, 1)], 4)
+        assert np.array_equal(batch.rtgs[0, 2:], rtgs[:2] / 2.0)
+        assert np.array_equal(batch.states[0, 2:], (states[:2] - 0.5) / 4.0)
+        assert np.array_equal(batch.actions[0, 2], actions[0])
+        assert not batch.actions[0, 3].any()
+        assert np.array_equal(targets[0, 2:], actions[:2])
+
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_equals_per_row_oracle(self, k):
+        """Every window of every trajectory, K past the longest included,
+        matches the per-row builder bitwise."""
+        trajs = self._trajectories()
+        picks = [(i, end) for i, t in enumerate(trajs)
+                 for end in range(len(t[0]))]
+        batch, targets = self._windows(trajs, picks, k)
+        want, want_targets = stack(
+            [trajectory_context(k, *trajs[i], end, *NORM)
+             for i, end in picks])
+        assert_same_batch(batch, want)
+        assert targets.tobytes() == want_targets.tobytes()
+
+
+class TestConditionOnRtg:
+    """The model applies `condition_on_rtg`: with it off, the embedding
+    reads zeros wherever the batch holds returns-to-go."""
+
+    def _with_rtgs(self, batch, rtgs):
+        return ContextBatch(rtgs, batch.states, batch.actions,
+                            batch.timesteps, batch.pad_mask)
+
+    @pytest.mark.parametrize("dt_mode", [False, True])
+    def test_off_ignores_the_rtgs(self, dt_mode):
+        params = DT3Params(np.random.default_rng(29), 3, 2,
+                           tiny_cfg(condition_on_rtg=False, dt_mode=dt_mode))
+        batch = make_batch(pad=1, rng=np.random.default_rng(30))
+        zeroed = self._with_rtgs(batch, np.zeros_like(batch.rtgs))
+        other = self._with_rtgs(batch, batch.rtgs * 1e3 - 7.0)
+        out = predict_one(batch, params).tobytes()
+        assert predict_one(zeroed, params).tobytes() == out
+        assert predict_one(other, params).tobytes() == out
+
+    def test_off_equals_on_with_rtgs_zeroed_by_hand(self):
+        params = DT3Params(np.random.default_rng(31), 3, 2,
+                           tiny_cfg(condition_on_rtg=False))
+        batch = make_batch(pad=1, rng=np.random.default_rng(32))
+        off = predict_one(batch, params).copy()
+        params.condition_on_rtg = True
+        assert not np.array_equal(predict_one(batch, params), off)
+        zeroed = self._with_rtgs(batch, np.zeros_like(batch.rtgs))
+        assert predict_one(zeroed, params).tobytes() == off.tobytes()
 
 
 class TestEmbedContext:
@@ -481,8 +538,8 @@ class TestFusedEmbeddingAndResidualNorms:
         for p in params.parameters():
             p.data[...] += rng.normal(0.0, 0.3, p.shape)
         b = 5
-        # Padded prefixes of every length, zeroed as `set_row` leaves them,
-        # and timesteps drawn from 3 values, so that they repeat.
+        # Padded prefixes of every length, zeroed as `context_windows` leaves
+        # them, and timesteps drawn from 3 values, so that they repeat.
         pad_mask = np.arange(k) >= rng.integers(0, k + 1, size=b)[:, None]
         pad_mask[0] = True
         batch = ContextBatch(rng.uniform(-1, 1, (b, k)) * pad_mask,

@@ -8,9 +8,10 @@ from the source instead.
 The benchmark in `perfbench/` wraps drdt3 functions by name, each in the
 `__dict__` of the module or class that defines it. A refactor that moves
 one of them breaks `--trace 1` runs, which the suite under `tests/` does
-not run; the hook test here fails first. The last test checks that the
+not run; the hook test here fails first. The next test checks that the
 benchmark's eval workload still counts a corrupt action as a failure when
-it is injected where the inference procedure now draws it.
+it is injected where the inference procedure now draws it, and the last
+runs every workload briefly, probes included.
 """
 
 import ast
@@ -95,3 +96,20 @@ def test_benchmark_counts_a_corrupt_eval_action_as_failed(tmp_path,
                         lambda *args, **kwargs: np.full(1, math.nan))
     m = workloads.run_eval(state, 0.0, 2)
     assert m.attempted > 0 and m.failed == m.attempted
+
+
+def test_every_benchmark_workload_runs_clean(tmp_path):
+    """Each workload's set-up, two operations and its probes, as
+    `perfbench/run.py` runs them: no operation fails and a rollout records
+    no autodiff graph. A change to the signature of a function the
+    benchmark calls fails here, not only in a benchmark run."""
+    workloads, tracing = _perfbench("workloads"), _perfbench("tracing")
+    for name, w in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        state = w.setup(1, str(workdir))
+        m = w.run(state, 0.0, 2)
+        assert m.attempted > 0 and m.failed == 0, (name, m.problems)
+        probes = tracing.probe_metrics(w.family, state)
+        if w.family == "eval":
+            assert probes["autodiff.nodes_per_eval_step"] == 0

@@ -9,7 +9,7 @@ from drdt3.autodiff import DArray
 from drdt3.bundle import fresh_bundle, load_bundle, save_bundle
 from drdt3.config import ConfigError, TrainConfig, parse_config_text
 from drdt3.diffusion import diffusion_loss, vp_schedule
-from drdt3.dt3 import ContextBatch, predict_coarse_actions_batch
+from drdt3.dt3 import predict_coarse_actions_batch
 from drdt3.envs import (generate_dataset, initial_rtg, make_env,
                         make_env_spec, rollout)
 from drdt3.training import (_ADAM_BLOCK, MAX_RTG_START, AdamW,
@@ -17,6 +17,8 @@ from drdt3.training import (_ADAM_BLOCK, MAX_RTG_START, AdamW,
                             dt3_loss, evaluate_episodes, rollout_policy,
                             sample_context_batch, starting_rtg, train,
                             unified_loss)
+
+from context_oracle import assert_same_batch, stack, trajectory_context
 
 
 @pytest.fixture(scope="module")
@@ -292,21 +294,17 @@ class TestSampleContextBatch:
 
 
 def _per_row_sampler(store, k, batch_size, rng):
-    """The batch sampler as a per-row loop over `ContextBatch.set_row`."""
+    """The batch sampler as a per-row loop over the reference builder."""
     lengths = np.array([t.length for t in store.trajectories], dtype=np.float64)
     probs = lengths / lengths.sum()
-    batch = ContextBatch.zeros(batch_size, k, store.d_s, store.d_a)
-    targets = np.zeros((batch_size, k, store.d_a))
-    for j in range(batch_size):
+    rows = []
+    for _ in range(batch_size):
         traj = store.trajectories[rng.choice(len(store.trajectories), p=probs)]
         end = int(rng.integers(traj.length))
-        start = max(0, end - k + 1)
-        steps = slice(start, end + 1)
-        batch.set_row(j, start, traj.rtgs[steps], traj.states[steps],
-                      traj.actions[steps], store.max_abs_return,
-                      store.state_mean, store.state_std)
-        targets[j, batch.pad_mask[j]] = traj.actions[steps]
-    return batch, targets
+        rows.append(trajectory_context(
+            k, traj.rtgs, traj.states, traj.actions, end,
+            store.max_abs_return, store.state_mean, store.state_std))
+    return stack(rows)
 
 
 @pytest.mark.parametrize("env_id, tier", [("stitchchain", "stitch"),
@@ -323,11 +321,7 @@ def test_sampler_bitwise_equals_per_row_loop(env_id, tier, seed):
         for _ in range(3):       # consecutive batches share one stream
             batch, targets = sample_context_batch(store, k, 33, rng_new, spec)
             old, old_targets = _per_row_sampler(store, k, 33, rng_old)
-            for name in ("rtgs", "states", "actions", "timesteps",
-                         "pad_mask"):
-                got, want = getattr(batch, name), getattr(old, name)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), name
+            assert_same_batch(batch, old)
             assert targets.tobytes() == old_targets.tobytes()
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
@@ -586,6 +580,44 @@ class TestEvaluate:
         for rtg, r in zip(newest_rtgs, trajs[0].rewards):
             assert rtg == g / bundle.rtg_norm
             g -= r
+
+    @pytest.mark.parametrize("env_id,tier", ROLLOUT_CASES)
+    @pytest.mark.parametrize("mode", ["drdt3", "dt3-only"])
+    @pytest.mark.parametrize("max_episode_len", [64, 8])
+    def test_every_step_context_equals_the_oracle(
+            self, env_id, tier, mode, max_episode_len, monkeypatch):
+        """At every step the model reads the reference builder's window of
+        the episode so far, bitwise; timesteps past the table (at
+        max_episode_len 8) reuse its last row."""
+        cfg = TrainConfig(embed_dim=8, cond_hidden=8, time_embed_dim=4,
+                          mlp_expansion=2,
+                          max_episode_len=max_episode_len).validate()
+        bundle = _eval_bundle(env_id, tier, cfg)
+        batches, trajs = [], []
+        predict = training.predict_coarse_actions_batch
+
+        def recording_predict(batch, params):
+            batches.append(batch)
+            return predict(batch, params)
+
+        monkeypatch.setattr(training, "predict_coarse_actions_batch",
+                            recording_predict)
+        monkeypatch.setattr(training, "rollout",
+                            _recording(trajs, training.rollout))
+        evaluate_episodes(bundle, 1, seed=0, rtg_scale=1.5, mode=mode)
+        traj = trajs[0]
+        rtgs = np.empty(traj.length)
+        rtgs[0] = initial_rtg(bundle.initial_return, 1.5)
+        for t in range(1, traj.length):
+            rtgs[t] = rtgs[t - 1] - traj.rewards[t - 1]
+        assert len(batches) == traj.length
+        for t, batch in enumerate(batches):
+            want, _ = stack([trajectory_context(
+                cfg.context_len, rtgs, traj.states, traj.actions, t,
+                bundle.rtg_norm, bundle.state_mean, bundle.state_std)])
+            np.minimum(want.timesteps, max_episode_len - 1,
+                       out=want.timesteps)
+            assert_same_batch(batch, want)
 
     @pytest.mark.parametrize("env_id,tier", ROLLOUT_CASES)
     def test_drdt3_episode_records_no_graph(self, env_id, tier, monkeypatch):
