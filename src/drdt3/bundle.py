@@ -22,17 +22,13 @@ from .config import ConfigError, TrainConfig, config_to_dict
 from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
 from .envs import env_class
-from .store_io import atomic_write
+from .store_io import _canonical_json, atomic_write
 
 MAGIC = b"drdt3-bundle/3\n"
 
 
 class BundleFormatError(ValueError):
     pass
-
-
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class PolicyBundle(ad.Params):
@@ -64,12 +60,12 @@ class PolicyBundle(ad.Params):
         ).hexdigest()
 
 
-def fresh_bundle(config, store, seed=None):
+def fresh_bundle(config, store):
     """Initialize a bundle for the given dataset's dimensions and stats."""
     return PolicyBundle(
         config, store.env_id, store.d_s, store.d_a, store.state_mean,
         store.state_std, store.max_abs_return, store.max_return(),
-        config.seed if seed is None else seed,
+        config.seed,
     )
 
 

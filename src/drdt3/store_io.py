@@ -63,8 +63,11 @@ def save_store(store, path):
             fh.write(np.ascontiguousarray(t.rewards, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
+def _read_exact(fh, n, size, what):
+    """`n` bytes from `fh`, whose file is `size` bytes long. A request for
+    more than the file has left is refused before it is read, so a corrupt
+    length cannot ask for an allocation the file could never fill."""
+    buf = fh.read(n) if n <= size - fh.tell() else b""
     if len(buf) != n:
         raise StoreFormatError(f"truncated file while reading {what}")
     return buf
@@ -91,6 +94,7 @@ def _header_int(header, key, minimum):
 
 def load_store(path):
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise StoreFormatError(
@@ -131,18 +135,15 @@ def load_store(path):
                 ) from None
             if t_len < 1:
                 raise StoreFormatError(f"trajectory {j} has invalid length {t_len}")
-            states = np.frombuffer(
-                _read_exact(fh, 8 * t_len * d_s, f"states of trajectory {j}"),
-                dtype="<f8",
-            ).reshape(t_len, d_s)
-            actions = np.frombuffer(
-                _read_exact(fh, 8 * t_len * d_a, f"actions of trajectory {j}"),
-                dtype="<f8",
-            ).reshape(t_len, d_a)
-            rewards = np.frombuffer(
-                _read_exact(fh, 8 * t_len, f"rewards of trajectory {j}"),
-                dtype="<f8",
-            )
+            states = np.frombuffer(_read_exact(
+                fh, 8 * t_len * d_s, size, f"states of trajectory {j}",
+            ), dtype="<f8").reshape(t_len, d_s)
+            actions = np.frombuffer(_read_exact(
+                fh, 8 * t_len * d_a, size, f"actions of trajectory {j}",
+            ), dtype="<f8").reshape(t_len, d_a)
+            rewards = np.frombuffer(_read_exact(
+                fh, 8 * t_len, size, f"rewards of trajectory {j}",
+            ), dtype="<f8")
             trajs.append(Trajectory(states, actions, rewards))
         if fh.read(1):
             raise StoreFormatError("trailing bytes after the last trajectory")

@@ -39,9 +39,6 @@ class MetricsLog:
     evals: list = field(default_factory=list)     # (epoch, mean_ret, succ, norm)
 
     def log_update(self, idx, l_diff, l_dt3, l_total):
-        for v in (l_diff, l_dt3, l_total):
-            if not np.isfinite(v):
-                raise TrainingAborted(f"non-finite loss at update {idx}")
         self.updates.append((idx, float(l_diff), float(l_dt3), float(l_total)))
 
     def log_eval(self, epoch, mean_ret, succ, norm):
@@ -384,16 +381,22 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
                 loss = ad.scale(l_dt3, config.zeta)
                 l_diff_val = 0.0
 
-            bundle.grad.fill(0.0)
-            ad.backward(loss)
-            clip_grad_norm(params, config.grad_clip)
+            losses = (l_diff_val, float(l_dt3.data), float(loss.data))
             try:
+                # A non-finite loss can have a finite gradient (the l1
+                # adjoint is a sign), so it is refused before the step: the
+                # checkpoint then holds the last logged update.
+                if not np.isfinite(losses).all():
+                    raise TrainingAborted(
+                        f"non-finite loss at update {update_idx}")
+                bundle.grad.fill(0.0)
+                ad.backward(loss)
+                clip_grad_norm(params, config.grad_clip)
                 opt.step()
-                log.log_update(update_idx, l_diff_val, float(l_dt3.data),
-                               float(loss.data))
             except TrainingAborted:
                 checkpoint()
                 raise
+            log.log_update(update_idx, *losses)
             update_idx += 1
 
         if eval_each_epoch and config.eval_episodes > 0:

@@ -182,8 +182,9 @@ class TestTrain:
         (b"\ntraj ", b"\ntraj x"),              # non-integer trajectory length
         (b'"stitchchain"', b'"labyrinth"'),     # unknown env
         (b'"d_s":1,', b'"d_s":2,'),             # dims differ from the env's
+        (b"\ntraj ", b"\ntraj 1000000000000000"),  # ~1e17 steps, past the end
     ], ids=["missing-key", "non-integer-header", "non-integer-length",
-            "unknown-env", "dims-differ"])
+            "unknown-env", "dims-differ", "length-past-the-end"])
     def test_malformed_store_exit_one(self, workspace, tmp_path, capsys, old,
                                       new):
         data = (workspace / "stitch.bin").read_bytes()
@@ -231,6 +232,21 @@ class TestTrain:
         assert "represents at most" in err and "Traceback" not in err
         assert not [w for w in caught if w.category is RuntimeWarning]
         assert not (tmp_path / "r" / "updates.csv").exists()
+
+    def test_nonfinite_loss_exit_three(self, workspace, tmp_path, capsys):
+        """A step so large that the next loss overflows aborts the run:
+        exit 3, no traceback, and the checkpoint kept in --out loads."""
+        from drdt3.bundle import load_bundle
+        cfg, out = tmp_path / "huge-step.cfg", tmp_path / "r"
+        cfg.write_text(TINY_CFG + "learning_rate = 1e300\ngrad_clip = 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # overflow
+            rc = main(["train", "--config", str(cfg), "--data",
+                       str(workspace / "stitch.bin"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("aborted:") and "Traceback" not in err
+        load_bundle(out / "bundle.drdt3")
 
     def test_missing_data_exit_one(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),

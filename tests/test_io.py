@@ -164,6 +164,21 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreFormatError, match="trajectory"):
             load_store(p)
 
+    def test_length_beyond_the_file_rejected_before_reading(self, store,
+                                                            tmp_path):
+        """A record header that claims 1e17 steps is refused for the bytes
+        the file has left, before a read of that size is tried."""
+        p = tmp_path / "big.bin"
+        save_store(TrajectoryStore(store.env_id, store.d_s, store.d_a,
+                                   store.trajectories[:2]), p)
+        magic, header, rest = p.read_bytes().split(b"\n", 2)
+        first = rest.index(b"\n") + 1
+        p.write_bytes(magic + b"\n" + header + b"\ntraj 100000000000000000\n"
+                      + rest[first:])
+        with pytest.raises(StoreFormatError, match="truncated file while "
+                           "reading states of trajectory 0"):
+            load_store(p)
+
     def test_failed_write_keeps_old_file(self, store, tmp_path):
         broken = TrajectoryStore(store.env_id, store.d_s, store.d_a,
                                  store.trajectories)

@@ -1,53 +1,92 @@
-"""Smoke runs of the experiment scripts, end to end at a tiny scale, so that
-a change to the library they call cannot break them unseen."""
+"""Smoke run of scripts/compare.py at a tiny scale, started as a user starts
+it: a subprocess in another working directory, with no PYTHONPATH entry for
+`src`, so that the script cannot drift from the library unseen."""
 
-import csv
+import dataclasses
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
-from drdt3.diffusion import VARIANTS
+import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from drdt3.config import load_config
+from drdt3.envs import generate_dataset
+from drdt3.store_io import load_store, save_store
+from drdt3.training import evaluate_bundle, train
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare.py"
+
+TINY_CFG = """\
+embed_dim = 8
+cond_hidden = 8
+time_embed_dim = 4
+mlp_expansion = 2
+max_episode_len = 64
+batch_size = 8
+epochs = 1
+updates_per_epoch = 5
+rtg_scale = 1.5
+"""
 
 
-def run_script(name, *args):
-    """Run scripts/<name> from the repo root, where its relative `src` path
-    entry finds the package; return its stdout. The script must exit 0."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("compare")
+    # A dense-reward env, so that returns show the evaluation's seed and eta.
+    save_store(generate_dataset("pointreach", "medium", 4, seed=0),
+               root / "store.bin")
+    (root / "tiny.cfg").write_text(TINY_CFG)
+    return root
+
+
+def run_compare(cwd, *args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_rows_for_every_method_equal_the_library(workspace):
+    proc = run_compare(workspace, "--data", "store.bin", "--config",
+                       "tiny.cfg", "--seeds", 0, 3, "--episodes", 2,
+                       "--out", "rows.json")
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    rows = json.loads((workspace / "rows.json").read_text())["rows"]
+    by_key = {(r["method"], r["mode"], r["seed"]): r for r in rows}
+    assert len(by_key) == len(rows) == 8
+    assert set(by_key) == {
+        (method, mode, seed) for seed in (0, 3)
+        for method, mode in (("dt", "dt3-only"), ("dt3", "dt3-only"),
+                             ("drdt3", "drdt3"), ("drdt3", "dt3-only"))}
+    for seed in (0, 3):
+        dt, dt3 = by_key["dt", "dt3-only", seed], by_key["dt3", "dt3-only", seed]
+        assert dt["l_diff"] == dt3["l_diff"] == 0.0
+        assert dt["l_dt3"] != dt3["l_dt3"]     # dt_mode drops the TTT layer
+
+    cfg = dataclasses.replace(load_config(workspace / "tiny.cfg"), seed=3,
+                              objective="unified")
+    bundle, log = train(cfg, load_store(workspace / "store.bin"),
+                        eval_each_epoch=False)
+    scores = evaluate_bundle(bundle, 2, 3, rtg_scale=cfg.rtg_scale,
+                             mode="drdt3")
+    row = by_key["drdt3", "drdt3", 3]
+    assert [row[k] for k in ("l_diff", "l_dt3", "l_total", "mean_return",
+                             "success_rate", "normalized_score")] == \
+        [*log.updates[-1][1:], *scores]
 
 
-def test_stitch_experiment(tmp_path):
-    out = tmp_path / "stitch.json"
-    run_script("run_stitch_experiment.py", "--epochs", 1, "--updates", 5,
-               "--n-traj", 6, "--embed-dim", 8, "--episodes", 2,
-               "--out", out)
-    results = json.loads(out.read_text())
-    assert sorted(results) == ["drdt3", "dt3-only", "zeta-only-bc"]
-    for row in results.values():
-        assert 0.0 <= row["success_rate"] <= 1.0
-
-
-def test_zeta_sweep(tmp_path):
-    out = tmp_path / "zeta.csv"
-    run_script("run_zeta_sweep.py", "--zetas", 0.0, 0.5, "--n-traj", 6,
-               "--embed-dim", 8, "--epochs", 1, "--updates", 5,
-               "--episodes", 2, "--out", out)
-    with open(out, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert header[0] == "zeta"
-    assert [float(r[0]) for r in rows] == [0.0, 0.5]
-
-
-def test_ablation_grid():
-    # The grid prints its table; it has no output file.
-    stdout = run_script("run_ablation_grid.py", "--n-traj", 6, "--updates", 5)
-    header, *rows = stdout.strip().splitlines()
-    assert header.split()[:2] == ["variant", "loss"]
-    assert len(rows) == 2 * len(VARIANTS) + 1    # x {l1, l2}, plus dt_mode
-    assert rows[-1].split()[0] == "dt_mode"
+@pytest.mark.parametrize("case", ["malformed-config", "not-a-store"])
+def test_bad_input_exit_one(workspace, tmp_path, case):
+    data, cfg = workspace / "store.bin", workspace / "tiny.cfg"
+    if case == "malformed-config":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("embed_dim = eight\n")
+    else:
+        data = workspace / "tiny.cfg"
+    proc = run_compare(tmp_path, "--data", data, "--config", cfg,
+                       "--seeds", 0, "--episodes", 1)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -530,6 +530,31 @@ class TestTrain:
         assert (tmp_path / "updates.csv").exists()
         assert (tmp_path / "evals.csv").exists()
 
+    def test_nonfinite_loss_aborts_before_its_step(self, store, tmp_path,
+                                                   monkeypatch):
+        """A loss that overflows at update 2 while its gradient stays finite
+        (the l1 adjoint is a sign): the kept checkpoint is the 2-update
+        run's, bitwise, and the log lists updates 0 and 1."""
+        losses = []
+
+        def overflowing(l_diff, l_dt3, zeta):
+            losses.append(unified_loss(l_diff, l_dt3, zeta))
+            if len(losses) == 3:
+                return losses[-1] + DArray(np.array(np.inf))
+            return losses[-1]
+
+        monkeypatch.setattr(training, "unified_loss", overflowing)
+        with pytest.raises(TrainingAborted, match="at update 2"):
+            train(tiny_config(updates_per_epoch=3, batch_size=4), store,
+                  out_dir=str(tmp_path), eval_each_epoch=False)
+        monkeypatch.undo()
+        two, _ = train(tiny_config(updates_per_epoch=2, batch_size=4), store,
+                       eval_each_epoch=False)
+        assert load_bundle(tmp_path / "bundle.drdt3").data.tobytes() == \
+            two.data.tobytes()
+        log = training.MetricsLog.read_csv(tmp_path)
+        assert [row[0] for row in log.updates] == [0, 1]
+
 
 # ---------------------------------------------------------------------------
 # Evaluation
