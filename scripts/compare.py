@@ -28,10 +28,11 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from drdt3.bundle import fresh_bundle  # noqa: E402
 from drdt3.config import config_to_dict, load_config  # noqa: E402
 from drdt3.store_io import load_store  # noqa: E402
 from drdt3.training import (TrainingAborted, evaluate_bundle,  # noqa: E402
-                            train)
+                            starting_rtg, train)
 
 # method: (the config fields it sets, the modes its bundle is evaluated in)
 METHODS = {
@@ -43,10 +44,12 @@ METHODS = {
 
 def compare(cfg, store, seeds, episodes):
     """One row per seed, method and evaluation mode, in that order. Every
-    run's config is validated before the first one trains."""
+    run's config, and the starting return-to-go of the evaluation's
+    rtg_scale, are checked before the first run trains."""
     runs = [(seed, method, dataclasses.replace(cfg, seed=seed, **fields)
              .validate(), modes)
             for seed in seeds for method, (fields, modes) in METHODS.items()]
+    starting_rtg(fresh_bundle(cfg, store), cfg.rtg_scale)
     rows = []
     for seed, method, run_cfg, modes in runs:
         bundle, log = train(run_cfg, store, eval_each_epoch=False)

@@ -6,10 +6,17 @@ and `drdt3 check` finite-difference checks each of them. Slicing goes
 through `take_slice` (`DArray.__getitem__`), which takes ints and slices
 only; the one table lookup, of the timestep embeddings, is part of
 `embed_tokens`. The graph is built eagerly; `backward` walks it in reverse
-topological order, visiting each node exactly once. Leaf gradients
+topological order, visiting each node exactly once, and uses it up: each
+node's adjoint, and the arrays it saved, are freed as soon as it has run, so
+a second `backward` through the same nodes raises. Leaf gradients
 accumulate across backward calls until `zero_grad`, which zeroes an existing
 gradient in place. Inside `with no_grad():` nothing is recorded, so
 inference builds no graph.
+
+At import, glibc's allocator is told to keep freed memory in the process
+(`_keep_freed_memory`). Backward frees megabytes in the middle of an
+update; with glibc's defaults, that memory goes back to the OS through heap
+trimming and unmapping, and the next update faults it back in page by page.
 
 The fold rule: every product of an (..., m) activation with a shared 2-D
 weight, forward or adjoint, is one 2-D GEMM over all leading rows,
@@ -22,6 +29,7 @@ matvec of `ttt_linear` stay batched.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 
 import numpy as np
@@ -29,6 +37,33 @@ from scipy.special import erf
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory():
+    """Fix glibc's mmap and trim thresholds, so that memory an update frees
+    stays in the process for the next one. Returns False, and does nothing,
+    where libc has no `mallopt`.
+
+    Blocks below the mmap threshold come from the heap and go back to it
+    when freed; 32 MiB, the largest value glibc accepts on 64-bit, covers
+    every array of a default-scale update. The heap returns memory to the
+    OS only when more than the trim threshold is free at its top."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    return True
+
+
+_KEEPS_FREED_MEMORY = _keep_freed_memory()
 
 
 class ShapeError(ValueError):
@@ -170,7 +205,8 @@ def no_grad():
 
 
 def _track(*inputs):
-    return any(x.requires_grad or x._parents for x in inputs)
+    # A used-up node keeps its (raising) adjoint, so it stays tracked.
+    return any(x.requires_grad or x._backward is not None for x in inputs)
 
 
 def _node(data, inputs, backward):
@@ -555,11 +591,20 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
 # Backward pass
 # ---------------------------------------------------------------------------
 
+def _used_up(g, acc):
+    raise RuntimeError(
+        "backward already ran through this graph and freed it; rebuild the "
+        "graph with a new forward pass")
+
+
 def backward(loss):
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
-    Gradients accumulate across calls; running the same graph twice doubles
-    every leaf gradient.
+    Gradients accumulate into the leaves across calls. Backward uses up the
+    graph it walks: each node's adjoint, with the arrays it saved, is
+    dropped as soon as it has run, and replaced by one that raises. So a
+    second `backward` through the same nodes, or through a new graph built
+    on them, raises RuntimeError. The nodes keep their `.data`.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -592,13 +637,17 @@ def backward(loss):
         else:
             grads[key] = g
 
-    for node in reversed(order):
+    # Popping from the end walks in reverse topological order; a node leaves
+    # the list, and its adjoint and parents are dropped, once it has run, so
+    # what only it held is freed before the nodes below it run theirs.
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
         if node._backward is not None:
-            node._backward(g, acc)
-        elif node.requires_grad:
+            if g is not None:
+                node._backward(g, acc)
+            node._backward, node._parents = _used_up, ()
+        elif g is not None and node.requires_grad:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g

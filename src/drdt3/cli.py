@@ -135,10 +135,14 @@ def cmd_eval(args):
     if _missing_dir(args.out):
         return _fail(f"cannot write {args.out}: its directory does not exist")
     try:
-        returns, successes, g0s = evaluate_episodes(
-            bundle, args.episodes, args.seed, rtg_scale=args.eta,
-            mode=args.mode,
-        )
+        # A diverged bundle overflows inside the model; the non-finite
+        # action it yields is reported by envs.ActionError, without numpy's
+        # warnings before it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            returns, successes, g0s = evaluate_episodes(
+                bundle, args.episodes, args.seed, rtg_scale=args.eta,
+                mode=args.mode,
+            )
     except ValueError as e:
         return _fail(e)
     norm = normalized_score(returns.mean(), make_env_spec(bundle.env_id))

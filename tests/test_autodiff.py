@@ -1,5 +1,6 @@
 import ast
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -155,14 +156,40 @@ class TestBackward:
         with pytest.raises(ad.ShapeError):
             ad.backward(x + x)
 
-    def test_repeated_backward_doubles_grads(self):
+    def test_second_backward_raises(self):
         x = DArray([1.0, -2.0, 3.0], requires_grad=True)
         x.zero_grad()
         loss = ad.sum_all(ad.square(x))
         ad.backward(loss)
-        once = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already ran"):
+            ad.backward(loss)
+        assert np.array_equal(x.grad, 2.0 * x.data)
+        assert loss.data == 14.0                # the nodes keep their data
+
+    def test_graph_built_on_a_used_up_node_raises(self):
+        x = DArray([1.0, -2.0], requires_grad=True)
+        x.zero_grad()
+        sq = ad.square(x)
+        ad.backward(ad.sum_all(sq))
+        with pytest.raises(RuntimeError, match="already ran"):
+            ad.backward(ad.sum_all(ad.scale(sq, 3.0)))
+        assert np.array_equal(x.grad, 2.0 * x.data)
+
+    def test_saved_arrays_freed_when_backward_returns(self):
+        rng = np.random.default_rng(4)
+        b, s, d = 2, 5, 8
+        params = [rand(rng, *shape) for shape in [(d, d), (d,)] * 4]
+        out = ad.causal_attention(rand(rng, b, s, d), *params,
+                                  np.ones((b, s), dtype=bool), 2)
+        loss = ad.sum_all(ad.square(out))
+        adjoint = out._backward
+        saved = dict(zip(adjoint.__code__.co_freevars,
+                         (cell.cell_contents for cell in adjoint.__closure__)))
+        refs = [weakref.ref(saved[name]) for name in ("p", "o", "w_qkv")]
+        del adjoint, saved
         ad.backward(loss)
-        assert np.array_equal(x.grad, 2.0 * once)
+        assert all(r() is None for r in refs)
+        assert out.data.shape == (b, s, d) and np.isfinite(loss.data)
 
     def test_grad_zero_after_reset(self):
         x = DArray([1.0], requires_grad=True)

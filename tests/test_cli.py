@@ -1,6 +1,9 @@
 import csv
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,6 +378,29 @@ class TestEval:
         rc = main(["eval", "--bundle", bundle, flag, value])
         assert rc == 1
         assert flag.lstrip("-") in capsys.readouterr().err
+
+    def test_diverged_checkpoint_prints_only_its_error(self, workspace,
+                                                       tmp_path):
+        """The checkpoint an overflowing run keeps has weights near 1e300:
+        `drdt3 eval` on it exits 1 with one `error:` line on stderr and no
+        numpy warning before it."""
+        cfg, out = tmp_path / "huge-step.cfg", tmp_path / "r"
+        cfg.write_text(TINY_CFG + "learning_rate = 1e300\ngrad_clip = 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # overflow
+            assert main(["train", "--config", str(cfg), "--data",
+                         str(workspace / "stitch.bin"), "--out",
+                         str(out)]) == 3
+        src = str(Path(ad.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from drdt3.cli import main; sys.exit(main())",
+             "eval", "--bundle", str(out / "bundle.drdt3"), "--episodes", "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
     @pytest.mark.parametrize("mode", ["drdt3", "dt3-only"])
     def test_nonfinite_action_exit_one(self, workspace, capsys, mode):

@@ -3,6 +3,7 @@ it: a subprocess in another working directory, with no PYTHONPATH entry for
 `src`, so that the script cannot drift from the library unseen."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import pathlib
@@ -90,3 +91,22 @@ def test_bad_input_exit_one(workspace, tmp_path, case):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_overflowing_rtg_scale_exits_before_training(tmp_path, monkeypatch,
+                                                     capsys):
+    # Stitchchain's best return is positive, so eta multiplies it.
+    save_store(generate_dataset("stitchchain", "stitch", 4, seed=0),
+               tmp_path / "store.bin")
+    spec = importlib.util.spec_from_file_location("compare", SCRIPT)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    trained = []
+    monkeypatch.setattr(compare, "train",
+                        lambda *args, **kwargs: trained.append(args))
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TINY_CFG.replace("rtg_scale = 1.5", "rtg_scale = 1e308"))
+    code = compare.main(["--data", str(tmp_path / "store.bin"), "--config",
+                         str(cfg), "--seeds", "0", "--episodes", "1"])
+    assert (code, trained) == (1, [])
+    assert capsys.readouterr().err.startswith("error: rtg scale eta 1e+308")
