@@ -4,27 +4,32 @@ A bundle holds its parameters in one float64 vector, `data`, and their
 gradients in another, `grad`, both in `named()` order; each parameter's
 `.data` and `.grad` are views into them.
 
-Same container discipline as the trajectory format: a magic line, one
-canonical JSON header (config, normalization constants, parameter manifest),
-then the parameter vector as one little-endian float64 block, which is each
-tensor's block in manifest order. Load -> save is byte-identical.
+The file has the trajectory store's frame, read by `store_io`'s one reader:
+a magic line, one canonical JSON header (config, normalization constants,
+parameter manifest), then the parameter vector as one little-endian float64
+block, which is each tensor's block in manifest order. Load -> save is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import ConfigError, TrainConfig, config_to_dict
+from .config import ConfigError, config_from_dict, config_to_dict
 from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
-from .envs import env_class
-from .store_io import _canonical_json, atomic_write
+from .store_io import _canonical_json, atomic_write, header_env, read_frame
 
 MAGIC = b"drdt3-bundle/3\n"
+
+# A bundle header's keys and their types, as `store_io.has_type` reads them.
+_SCHEMA = {"config": dict, "env_id": str, "d_s": int, "d_a": int,
+           "state_mean": list[float], "state_std": list[float],
+           "rtg_norm": float, "initial_return": float, "seed": int,
+           "manifest": list}
 
 
 class BundleFormatError(ValueError):
@@ -88,52 +93,55 @@ def save_bundle(bundle, path):
         fh.write(np.asarray(bundle.data, dtype="<f8").tobytes())
 
 
+def _least_parameter_floats(config, d_a):
+    """A lower bound on the floats of all the parameters `config` builds
+    for an env with `d_a` actions, and most of them: the eight
+    embed_dim x embed_dim weights of the attention and TTT sub-layers, the
+    timestep table, the two mlp_expansion*cond_hidden^2 weights of the
+    noise MLP, and its condition projection."""
+    d, h = config.embed_dim, config.cond_hidden
+    return (8 * d * d + config.max_episode_len * d
+            + 2 * config.mlp_expansion * h * h
+            + (config.time_embed_dim + d_a) * h)
+
+
 def load_bundle(path):
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise BundleFormatError("bad bundle magic (version mismatch?)")
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise BundleFormatError("truncated bundle header")
+    with read_frame(path, MAGIC, _SCHEMA, BundleFormatError) as frame:
+        header = frame.header
         try:
-            header = json.loads(line)
-            odd = set(header["config"]) ^ set(config_to_dict(TrainConfig()))
-            if odd:
-                raise ConfigError(f"unknown or missing keys {sorted(odd)}")
-            config = TrainConfig(**header["config"]).validate()
-            # Only the env's own dimensions can run in it.
-            env = env_class(header["env_id"])
-            if (header["d_s"], header["d_a"]) != (env.d_s, env.d_a):
-                raise ValueError(
-                    f"d_s={header['d_s']}, d_a={header['d_a']} differ from "
-                    f"{env.env_id}'s d_s={env.d_s}, d_a={env.d_a}")
-            mean, std = header["state_mean"], header["state_std"]
-            if not len(mean) == len(std) == env.d_s:
-                raise ValueError(
-                    f"state_mean has {len(mean)} entries and state_std "
-                    f"{len(std)}; {env.env_id}'s states have {env.d_s}")
-            # The shapes come from the config; the values are read below.
-            bundle = PolicyBundle(
-                config, header["env_id"], header["d_s"], header["d_a"],
-                mean, std, header["rtg_norm"], header["initial_return"],
-                header["seed"],
-            )
-            manifest = header["manifest"]
-        except (ValueError, KeyError, TypeError) as e:
+            config = config_from_dict(header["config"])
+        except ConfigError as e:
+            raise BundleFormatError(f"bad bundle config: {e}") from None
+        env = header_env(header, BundleFormatError)
+        mean, std = header["state_mean"], header["state_std"]
+        if not len(mean) == len(std) == env.d_s:
             raise BundleFormatError(
-                f"bad bundle header ({type(e).__name__}: {e})"
-            ) from None
+                f"state_mean has {len(mean)} entries and state_std "
+                f"{len(std)}; {env.env_id}'s states have {env.d_s}")
+        # The policy divides by both; a saved bundle never holds other values.
+        if min(std) <= 0 or header["rtg_norm"] <= 0:
+            raise BundleFormatError(f"state_std {std} and rtg_norm "
+                                    f"{header['rtg_norm']} must be > 0")
+        if header["seed"] < 0:
+            raise BundleFormatError(f"header seed is {header['seed']}; "
+                                    "must be >= 0")
+        # Refuse a config that builds more than the file holds before any
+        # weight is drawn; what a config that passes builds is at most
+        # about 1.5 times the block.
+        floats = _least_parameter_floats(config, env.d_a)
+        if floats > frame.left // 8:
+            raise BundleFormatError(
+                f"config asks for at least {floats} parameter floats; the "
+                f"parameter block holds {frame.left // 8}")
+        # The shapes come from the config; the values are read below.
+        bundle = PolicyBundle(
+            config, env.env_id, env.d_s, env.d_a, mean, std,
+            header["rtg_norm"], header["initial_return"], header["seed"],
+        )
         expected = [[n, list(p.data.shape)] for n, p in bundle.named()]
-        if manifest != expected:
+        if header["manifest"] != expected:
             raise BundleFormatError(
                 "manifest does not list its config's parameters, in order "
                 "and with their shapes")
-        buf = fh.read(8 * bundle.data.size)
-        if len(buf) != 8 * bundle.data.size:
-            raise BundleFormatError(
-                f"truncated parameter block: {len(buf)} of "
-                f"{8 * bundle.data.size} bytes")
-        bundle.data[:] = np.frombuffer(buf, dtype="<f8")
-        if fh.read(1):
-            raise BundleFormatError("trailing bytes after the last parameter")
+        bundle.data[:] = frame.floats(bundle.data.size, "the parameter block")
     return bundle

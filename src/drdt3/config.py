@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .diffusion import VARIANTS
+from .store_io import has_type
 
 
 class ConfigError(ValueError):
@@ -52,8 +53,11 @@ class TrainConfig:
 
     def validate(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if _field_type(f) is float and not math.isfinite(value):
+            value, typ = getattr(self, f.name), _field_type(f)
+            if not has_type(value, typ):
+                raise ConfigError(
+                    f"{f.name} must be {typ.__name__}, got {value!r}")
+            if typ is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.context_len < 1:
             raise ConfigError("context_len must be >= 1")
@@ -153,8 +157,23 @@ def _field_type(f):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: {e}") from None
+    return parse_config_text(text)
+
+
+def config_from_dict(values):
+    """The TrainConfig that a full field -> value mapping, such as a
+    bundle's config snapshot, describes: it must set every field and no
+    other key, and passes `validate`'s typed check as a config file does."""
+    odd = set(values) ^ {f.name for f in fields(TrainConfig)}
+    if odd:
+        raise ConfigError(f"unknown or missing keys {sorted(odd)}")
+    return TrainConfig(**values).validate()
 
 
 def config_to_dict(cfg):

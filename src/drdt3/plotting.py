@@ -21,22 +21,26 @@ def moving_average(values, window=10):
 def read_metric_csv(path, column=None):
     """Read (x, y) pairs from a metrics CSV; defaults to the last column."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PlotError("empty CSV")
-        if column is not None and column not in header:
-            raise PlotError(f"no column {column!r} in {', '.join(header)}")
-        col = len(header) - 1 if column is None else header.index(column)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise PlotError(f"row {lineno}: expected {len(header)} fields, "
-                                f"got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[col])))
-            except ValueError as e:
-                raise PlotError(f"row {lineno}: {e}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise PlotError("empty CSV")
+            if column is not None and column not in header:
+                raise PlotError(
+                    f"no column {column!r} in {', '.join(header)}")
+            col = len(header) - 1 if column is None else header.index(column)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise PlotError(f"row {lineno}: expected {len(header)} "
+                                    f"fields, got {len(row)}")
+                try:
+                    rows.append((float(row[0]), float(row[col])))
+                except ValueError as e:
+                    raise PlotError(f"row {lineno}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise PlotError(f"{path} is not UTF-8 text: {e}") from None
     if not rows:
         raise PlotError("CSV has a header but no data rows")
     return header[col], rows

@@ -179,6 +179,24 @@ class TestTrain:
             assert rc == 1, text
             assert named in capsys.readouterr().err, text
 
+    @pytest.mark.parametrize("name", ["config", "data"])
+    def test_non_utf8_input_exit_one(self, workspace, tmp_path, capsys,
+                                     name):
+        """A config file or a store header holding a byte that is not
+        UTF-8: exit 1 with the loader's message, no traceback."""
+        inputs = {"config": workspace / "tiny.cfg",
+                  "data": workspace / "stitch.bin"}
+        bad = tmp_path / "bad"
+        bad.write_bytes(
+            inputs[name].read_bytes().replace(b"\n", b"\n\xff", 1))
+        inputs[name] = bad
+        rc = main(["train", "--config", str(inputs["config"]), "--data",
+                   str(inputs["data"]), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "utf-8" in err.lower()
+
     @pytest.mark.parametrize("old, new", [
         (b'"n_traj":', b'"n_trajs":'),          # missing header key
         (b'"d_s":', b'"d_s":"three","x":'),     # non-integer header value
@@ -562,6 +580,15 @@ class TestPlot:
         src.write_text("")
         rc = main(["plot", "--metrics", str(src), "--out", str(out)])
         assert rc == 1
+        assert not out.exists()
+
+    def test_non_utf8_csv_exit_one(self, tmp_path, capsys):
+        src, out = tmp_path / "m.csv", tmp_path / "m.svg"
+        src.write_bytes(b"update_idx,l_total\n0,1.0\n1,\xff\n")
+        rc = main(["plot", "--metrics", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "UTF-8" in err
         assert not out.exists()
 
     def test_malformed_row_diagnostic_names_row(self, tmp_path):

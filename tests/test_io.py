@@ -94,6 +94,20 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreFormatError, match="magic"):
             load_store(p)
 
+    @pytest.mark.parametrize("header, match", [
+        (b"\xff", "UnicodeDecodeError"),
+        (b"[" * 60000, "RecursionError"),
+        (b" " * 70000, "longer than 65536 bytes"),
+        (b"[]", "not a JSON object"),
+        (b"Infinity", "non-finite"),
+    ], ids=["not-utf8", "nested-too-deep", "too-long", "not-an-object",
+            "infinity"])
+    def test_unreadable_header_rejected(self, tmp_path, header, match):
+        p = tmp_path / "u.bin"
+        p.write_bytes(b"drdt3/1\n" + header + b"\n")
+        with pytest.raises(StoreFormatError, match=match):
+            load_store(p)
+
     def test_empty_store_round_trip(self, tmp_path):
         empty = TrajectoryStore("pointreach", 4, 2)
         p = tmp_path / "e.bin"
@@ -243,8 +257,19 @@ class TestBundleRoundTrip:
         (b'"config":{', b'"config":{"ttt_proj_rank":0,', "ttt_proj_rank"),
         (b'"objective":"unified",', b"", "objective"),
         (b'"d_s":1,', b"", "d_s"),
+        # A repeated key's last value counts. Top-level "seed" follows
+        # "rtg_norm", and "state_std" is the last key.
+        (b',"seed":0,"state_mean"', b',"rtg_norm":0.0,"seed":0,"state_mean"',
+         "rtg_norm"),
+        (b']}\n', b'],"state_std":[0.0]}\n', "state_std"),
+        (b'"state_std":[', b'"state_std":[NaN,', "NaN"),
+        (b'"context_len":6', b'"context_len":3.0', "context_len"),
+        (b'"n_diffusion_steps":5', b'"n_diffusion_steps":5.0',
+         "n_diffusion_steps"),
     ], ids=["v1-magic", "v2-magic", "mangled-json", "unknown-config-key",
-            "missing-config-key", "missing-header-key"])
+            "missing-config-key", "missing-header-key", "zero-rtg-norm",
+            "zero-state-std", "nan-state-std", "float-context-len",
+            "float-diffusion-steps"])
     def test_bad_header_rejected(self, store, tiny_config, tmp_path, old, new,
                                  match):
         p = tmp_path / "h.drdt3"

@@ -1,7 +1,8 @@
 """Module boundaries that the code relies on but no import error would show.
 
 The data layer (`envs`, and `store_io` through it) must not import the
-model. Importing `drdt3.envs` runs the package `__init__`, which imports
+model, and `store_io` alone reads the file frame that stores and bundles
+share. Importing `drdt3.envs` runs the package `__init__`, which imports
 everything, so `sys.modules` cannot show this; the tests read the imports
 from the source instead.
 
@@ -55,6 +56,15 @@ def test_envs_imports_numpy_and_the_standard_library_only():
     relative, absolute = _imports("envs")
     assert relative == set()
     assert absolute <= set(sys.stdlib_module_names) | {"numpy"}, absolute
+
+
+def test_only_store_io_reads_the_file_frame():
+    """`bundle` reads its file through `store_io`'s frame reader only: it
+    calls no `json.loads`, `.readline` or `.read` of its own."""
+    calls = {node.func.attr for node in ast.walk(ast.parse(
+        (SRC / "bundle.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not calls & {"loads", "readline", "read"}, calls
 
 
 def _perfbench(name):
