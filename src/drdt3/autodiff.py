@@ -172,6 +172,24 @@ class Params:
         return [p for _, p in self.named()]
 
 
+class Linear(Params):
+    """An affine map x @ w + b, recorded as one `affine`."""
+
+    def __init__(self, w, b):
+        self.w = w
+        self.b = b
+
+    @classmethod
+    def init(cls, rng, d_in, d_out, std=0.02):
+        return cls(
+            DArray(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True),
+            DArray(np.zeros(d_out), requires_grad=True),
+        )
+
+    def __call__(self, x):
+        return affine(x, self.w, self.b)
+
+
 def flatten(params):
     """Copy `params`, in order, into one data vector and give them one zero
     gradient vector; rebind each `.data` and `.grad` to its reshaped view
@@ -434,10 +452,11 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     return _node(out, inputs, bwd)
 
 
-def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
+def causal_attention(x, w_qkv, b_qkv, wo, bo, key_mask, n_heads):
     """Multi-head causal self-attention over a (B, s, d) sequence with its
     output projection: softmax(Q K^T / sqrt(d_h)) V W_o + b_o, where
-    Q = x W_q + b_q and so on, in one GEMM.
+    [Q | K | V] = x w_qkv + b_qkv is one GEMM with a (d, 3d) weight whose
+    column blocks are W_q, W_k and W_v.
 
     Query t sees each key j <= t whose `key_mask[:, j]` (B, s) is True, and
     always itself, so a fully padded query attends to itself only. Masked
@@ -450,9 +469,8 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
     if d % n_heads:
         raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
-    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = _gemm(xd, w_qkv)
-    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    qkv = _gemm(xd, w_qkv.data)
+    qkv += b_qkv.data
     # q, k, v: (B, heads, s, d_h) views of the (B, s, 3, heads, d_h) product.
     q, k, v = qkv.reshape(b, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     scale = float(1.0 / np.sqrt(dh))
@@ -487,12 +505,10 @@ def causal_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, key_mask, n_heads):
         del go, gs                        # freed before the two GEMMs below
         gqkv = gqkv.reshape(b, s, 3 * d)
         gqkv2 = gqkv.reshape(-1, 3 * d)
-        gw = np.split(xd.reshape(-1, d).T @ gqkv2, 3, axis=1)
-        gb = np.split(gqkv2.sum(axis=0), 3)
-        for param, grad in zip((wq, wk, wv, bq, bk, bv), gw + gb):
-            acc(param, grad)
-        acc(x, _gemm(gqkv, w_qkv.T))
-    return _node(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
+        acc(w_qkv, xd.reshape(-1, d).T @ gqkv2)
+        acc(b_qkv, gqkv2.sum(axis=0))
+        acc(x, _gemm(gqkv, w_qkv.data.T))
+    return _node(out, (x, w_qkv, b_qkv, wo, bo), bwd)
 
 
 @functools.lru_cache(maxsize=64)

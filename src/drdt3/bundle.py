@@ -23,7 +23,7 @@ from .diffusion import NoiseApproximatorParams
 from .dt3 import DT3Params
 from .store_io import _canonical_json, atomic_write, header_env, read_frame
 
-MAGIC = b"drdt3-bundle/3\n"
+MAGIC = b"drdt3-bundle/4\n"
 
 # A bundle header's keys and their types, as `store_io.has_type` reads them.
 _SCHEMA = {"config": dict, "env_id": str, "d_s": int, "d_a": int,
@@ -95,10 +95,10 @@ def save_bundle(bundle, path):
 
 def _least_parameter_floats(config, d_a):
     """A lower bound on the floats of all the parameters `config` builds
-    for an env with `d_a` actions, and most of them: the eight
-    embed_dim x embed_dim weights of the attention and TTT sub-layers, the
-    timestep table, the two mlp_expansion*cond_hidden^2 weights of the
-    noise MLP, and its condition projection."""
+    for an env with `d_a` actions, and most of them: the 8 embed_dim^2
+    floats of the (d, 3d) QKV weight, the output projection and the four
+    TTT weights, the timestep table, the two mlp_expansion*cond_hidden^2
+    weights of the noise MLP, and its condition projection."""
     d, h = config.embed_dim, config.cond_hidden
     return (8 * d * d + config.max_episode_len * d
             + 2 * config.mlp_expansion * h * h

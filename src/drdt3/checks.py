@@ -94,7 +94,7 @@ def check_primitives(rng=None, trials=100):
         # Two heads over two sequences of 4 tokens, d = 4.
         tokens = _rand(rng, 2, 4, 4, bound=1.0)
         attn = [_rand(rng, *shape, bound=1.0)
-                for _ in range(4) for shape in ((4, 4), (4,))]
+                for shape in ((4, 12), (12,), (4, 4), (4,))]
         check("causal_attention",
               lambda: sq(ad.causal_attention(tokens, *attn, key_mask, 2)),
               [tokens] + attn)

@@ -15,6 +15,10 @@ class ConfigError(ValueError):
     settings in a config."""
 
 
+# The most diffusion steps a config may ask for: DDPM's N (Ho et al. 2020).
+MAX_DIFFUSION_STEPS = 1000
+
+
 @dataclass
 class TrainConfig:
     # Sequence model
@@ -59,14 +63,16 @@ class TrainConfig:
                     f"{f.name} must be {typ.__name__}, got {value!r}")
             if typ is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.context_len < 1:
-            raise ConfigError("context_len must be >= 1")
         if self.zeta < 0:
             raise ConfigError("zeta must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.max_episode_len < 1:
             raise ConfigError("max_episode_len must be >= 1")
+        # A window longer than an episode holds only padding.
+        if not 1 <= self.context_len <= self.max_episode_len:
+            raise ConfigError("context_len must be in 1..max_episode_len "
+                              f"({self.max_episode_len})")
         if self.embed_dim < 1:
             raise ConfigError("embed_dim must be >= 1")
         if self.n_heads < 1:
@@ -81,8 +87,9 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown noise_approx_variant: {self.noise_approx_variant!r}"
             )
-        if self.n_diffusion_steps < 1:
-            raise ConfigError("n_diffusion_steps must be >= 1")
+        if not 1 <= self.n_diffusion_steps <= MAX_DIFFUSION_STEPS:
+            raise ConfigError(
+                f"n_diffusion_steps must be in 1..{MAX_DIFFUSION_STEPS}")
         if self.cond_hidden < 1:
             raise ConfigError("cond_hidden must be >= 1")
         if self.mlp_expansion < 1:

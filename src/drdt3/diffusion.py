@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DArray
+from .autodiff import DArray, Linear
 
 VARIANTS = ("full", "no_adaln", "no_gated_mlp", "plain")
 
@@ -88,7 +88,6 @@ class NoiseApproximatorParams(ad.Params):
     def __init__(self, d_a, d_h, d_c, expansion, variant, rng):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        from .dt3 import Linear  # shared parameter container
         self.d_a, self.d_h, self.d_c = d_a, d_h, d_c
         self.expansion = expansion
         self.variant = variant

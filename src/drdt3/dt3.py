@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DArray
+from .autodiff import DArray, Linear
 
 
 # Tokens per step: (return-to-go, state, action).
@@ -91,22 +91,6 @@ def context_windows(rtgs, states, actions, firsts, ends, k, rtg_norm,
 # Parameter containers
 # ---------------------------------------------------------------------------
 
-class Linear(ad.Params):
-    def __init__(self, w, b):
-        self.w = w
-        self.b = b
-
-    @classmethod
-    def init(cls, rng, d_in, d_out, std=0.02):
-        return cls(
-            DArray(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True),
-            DArray(np.zeros(d_out), requires_grad=True),
-        )
-
-    def __call__(self, x):
-        return ad.affine(x, self.w, self.b)
-
-
 class TTTLinearLayer(ad.Params):
     """Fast-weight layer: W starts at W0 each sequence and takes one
     gradient step on the token reconstruction loss per real token."""
@@ -130,8 +114,12 @@ class AttentionTTTBlock(ad.Params):
     def __init__(self, rng, d, n_heads, inner_lr):
         if d % n_heads != 0:
             raise ValueError(f"embed dim {d} not divisible by {n_heads} heads")
-        self.wq, self.wk, self.wv, self.wo = (Linear.init(rng, d, d)
-                                              for _ in range(4))
+        # W_q, W_k and W_v side by side: three (d, d) draws, then W_o's.
+        w_qkv = np.hstack([rng.normal(0.0, 0.02, size=(d, d))
+                           for _ in range(3)])
+        self.qkv = Linear(DArray(w_qkv, requires_grad=True),
+                          DArray(np.zeros(3 * d), requires_grad=True))
+        self.wo = Linear.init(rng, d, d)
         self.n_heads = n_heads
         self.ln1_g = DArray(np.ones(d), requires_grad=True)
         self.ln1_b = DArray(np.zeros(d), requires_grad=True)
@@ -195,8 +183,7 @@ def causal_attention(x, block, token_mask):
     output projection included, is one recorded primitive,
     `autodiff.causal_attention`.
     """
-    attn = ad.causal_attention(x, block.wq.w, block.wq.b, block.wk.w,
-                               block.wk.b, block.wv.w, block.wv.b, block.wo.w,
+    attn = ad.causal_attention(x, block.qkv.w, block.qkv.b, block.wo.w,
                                block.wo.b, token_mask, block.n_heads)
     return ad.layer_norm(attn, block.ln1_g, block.ln1_b, residual=x)
 

@@ -156,12 +156,13 @@ class AdamW:
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def clip_grad_norm(params, max_norm):
-    total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+def clip_grad_norm(grad, max_norm):
+    """Scale the flat gradient vector in place to a 2-norm of at most
+    `max_norm` (0: no clipping); returns the norm before scaling. numpy's
+    own reduction, unlike a BLAS dot, sums alike at any thread count."""
+    total = float(np.sqrt(np.einsum("i,i->", grad, grad)))
     if total > max_norm > 0:
-        scale = max_norm / (total + 1e-12)
-        for p in params:
-            p.grad *= scale
+        grad *= max_norm / (total + 1e-12)
     return total
 
 
@@ -338,7 +339,6 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
             raise DatasetRejected(e) from None
     sched = vp_schedule(config.n_diffusion_steps, config.beta_min,
                         config.beta_max)
-    params = bundle.parameters()
     n_opt = bundle.data.size
     if config.objective == "dt3_only":
         # Optimize only the dt3 prefix of the parameter vector: weight decay
@@ -391,7 +391,7 @@ def train(config, store, out_dir=None, eval_each_epoch=True, bundle=None,
                         f"non-finite loss at update {update_idx}")
                 bundle.grad.fill(0.0)
                 ad.backward(loss)
-                clip_grad_norm(params, config.grad_clip)
+                clip_grad_norm(bundle.grad, config.grad_clip)
                 opt.step()
             except TrainingAborted:
                 checkpoint()

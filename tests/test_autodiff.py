@@ -80,10 +80,11 @@ def softmax(logits, mask=None):
     row = np.asarray(logits, dtype=np.float64).reshape(-1)
     s = row.size
     mask = np.ones((1, s), bool) if mask is None else np.asarray(mask)
-    eye, zero = DArray(np.eye(s)), DArray(np.zeros(s))
-    wq = DArray(np.tile(row * np.sqrt(s), (s, 1)))
-    out = ad.causal_attention(DArray(np.eye(s)[None]), wq, zero, eye, zero,
-                              eye, zero, eye, zero, mask, 1)
+    wq = np.tile(row * np.sqrt(s), (s, 1))
+    w_qkv = DArray(np.concatenate([wq, np.eye(s), np.eye(s)], axis=1))
+    out = ad.causal_attention(DArray(np.eye(s)[None]), w_qkv,
+                              DArray(np.zeros(3 * s)), DArray(np.eye(s)),
+                              DArray(np.zeros(s)), mask, 1)
     return out.data[0, -1]
 
 
@@ -113,9 +114,10 @@ class TestSoftmax:
 
     def test_future_keys_exact_zero(self):
         s = 4
-        eye, zero = DArray(np.eye(s)), DArray(np.zeros(s))
-        out = ad.causal_attention(DArray(np.eye(s)[None]), eye, zero, eye,
-                                  zero, eye, zero, eye, zero,
+        out = ad.causal_attention(DArray(np.eye(s)[None]),
+                                  DArray(np.tile(np.eye(s), 3)),
+                                  DArray(np.zeros(3 * s)), DArray(np.eye(s)),
+                                  DArray(np.zeros(s)),
                                   np.ones((1, s), bool), 1).data[0]
         assert np.all(out[np.triu_indices(s, 1)] == 0.0)
 
@@ -178,14 +180,15 @@ class TestBackward:
     def test_saved_arrays_freed_when_backward_returns(self):
         rng = np.random.default_rng(4)
         b, s, d = 2, 5, 8
-        params = [rand(rng, *shape) for shape in [(d, d), (d,)] * 4]
+        params = [rand(rng, *shape)
+                  for shape in [(d, 3 * d), (3 * d,), (d, d), (d,)]]
         out = ad.causal_attention(rand(rng, b, s, d), *params,
                                   np.ones((b, s), dtype=bool), 2)
         loss = ad.sum_all(ad.square(out))
         adjoint = out._backward
         saved = dict(zip(adjoint.__code__.co_freevars,
                          (cell.cell_contents for cell in adjoint.__closure__)))
-        refs = [weakref.ref(saved[name]) for name in ("p", "o", "w_qkv")]
+        refs = [weakref.ref(saved[name]) for name in ("p", "o", "q")]
         del adjoint, saved
         ad.backward(loss)
         assert all(r() is None for r in refs)

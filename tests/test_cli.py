@@ -168,7 +168,9 @@ class TestTrain:
             ("grad_clip = nan", "grad_clip"),
             ("rtg_scale = inf", "rtg_scale"),
             ("beta_max = inf", "beta_max"),
-            ("weight_decay = nan", "weight_decay"))]
+            ("weight_decay = nan", "weight_decay"),
+            ("context_len = 1000000000", "context_len"),
+            ("n_diffusion_steps = 1000000000", "n_diffusion_steps"))]
         # Alone: after the `embed_dim = 8` line it would be a repeated key.
         cases.append(("embed_dim = 0", "embed_dim"))
         for text, named in cases:

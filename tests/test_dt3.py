@@ -189,10 +189,23 @@ class TestCausalAttention:
         x = DArray(rng.uniform(-1, 1, (1, s, d)))
         return block, x
 
+    def test_qkv_weight_is_three_draws_then_output_projection(self):
+        """The (d, 3d) QKV weight holds the draws that W_q, W_k and W_v
+        took as three (d, d) weights, and W_o the next one."""
+        d = 8
+        block = AttentionTTTBlock(np.random.default_rng(5), d, 2, 0.5)
+        rng = np.random.default_rng(5)
+        draws = [rng.normal(0.0, 0.02, (d, d)) for _ in range(4)]
+        assert block.qkv.w.data.tobytes() == \
+            np.concatenate(draws[:3], axis=1).tobytes()
+        assert block.wo.w.data.tobytes() == draws[3].tobytes()
+        assert not block.qkv.b.data.any() and block.qkv.b.shape == (3 * d,)
+
     def test_single_real_token_is_value_then_output_projection(self):
         block, x = self._setup(s=1)
         out = causal_attention(x, block, np.ones((1, 1), bool))
-        v = x.data @ block.wv.w.data + block.wv.b.data
+        d = x.shape[-1]
+        v = x.data @ block.qkv.w.data[:, 2 * d:] + block.qkv.b.data[2 * d:]
         proj = v @ block.wo.w.data + block.wo.b.data
         expect = x.data + proj
         mu = expect.mean(-1, keepdims=True)
@@ -222,7 +235,8 @@ class TestCausalAttention:
 
 # The composed attention the model recorded before `autodiff.causal_attention`
 # and `autodiff.affine` fused it: three test-only primitives with their
-# original adjoints, and the 23-node graph built from them.
+# original adjoints, and the graph built from them, with Q, K and V each
+# from its own slice of the QKV weight and bias.
 
 def _matmul(a, b):
     def bwd(g, acc):
@@ -266,9 +280,9 @@ def _composed_attention(x, block, token_mask):
     def split_heads(t):
         return _transpose(ad.reshape(t, (b, s, h, dh)), (0, 2, 1, 3))
 
-    q = split_heads(_composed_linear(x, block.wq))
-    kk = split_heads(_composed_linear(x, block.wk))
-    v = split_heads(_composed_linear(x, block.wv))
+    q, kk, v = (split_heads(_matmul(x, block.qkv.w[:, j * d:(j + 1) * d])
+                            + block.qkv.b[j * d:(j + 1) * d])
+                for j in range(3))
     scores = ad.scale(_matmul(q, _transpose(kk)), 1.0 / np.sqrt(dh))
     mask = np.tril(np.ones((s, s), bool))[None, None] \
         & token_mask[:, None, None, :]
@@ -290,9 +304,10 @@ def _outputs_and_grads(f, inputs, cotangent):
 
 def _assert_close(got, want, rel=1e-12):
     """Each array within `rel` of its own largest entry. An array below 1e-3
-    of the largest entry over all of them is compared at that floor: the key
-    bias's gradient is zero analytically (each softmax row absorbs the
-    shift), so both paths give only rounding noise there."""
+    of the largest entry over all of them is compared at that floor: a
+    gradient that is zero analytically, such as the key block of the QKV
+    bias's (each softmax row absorbs the shift), is only rounding noise on
+    both paths."""
     floor = 1e-3 * max(np.abs(w).max() for w in want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -343,7 +358,7 @@ class TestFusedEqualsComposed:
         mask = np.ones((2, 5), bool)
         # the fused primitive and the layer norm with its residual operand
         assert _count_nodes(causal_attention(x, block, mask)) == 2
-        assert _count_nodes(_composed_attention(x, block, mask)) == 23
+        assert _count_nodes(_composed_attention(x, block, mask)) == 29
 
 
 class TestTTTForward:
@@ -508,9 +523,8 @@ def _composed_residual_predict(batch, params):
     blk = params.block
     x = _composed_embed(batch, params)
     mask = np.repeat(batch.pad_mask, 3, axis=1)
-    attn = ad.causal_attention(x, blk.wq.w, blk.wq.b, blk.wk.w, blk.wk.b,
-                               blk.wv.w, blk.wv.b, blk.wo.w, blk.wo.b, mask,
-                               blk.n_heads)
+    attn = ad.causal_attention(x, blk.qkv.w, blk.qkv.b, blk.wo.w, blk.wo.b,
+                               mask, blk.n_heads)
     h = ad.layer_norm(x + attn, blk.ln1_g, blk.ln1_b)
     if params.dt_mode:
         h = h[:, 1::3]
@@ -652,8 +666,8 @@ class TestOneGemmPerProduct:
         rng = np.random.default_rng(d + b)
         s = 18
         x = DArray(_activation(rng, b, s, d, strided), requires_grad=True)
-        params = [p for _ in range(4)
-                  for p in _weights(rng, (d, d), (d,), bound=1.0 / np.sqrt(d))]
+        params = _weights(rng, (d, 3 * d), (3 * d,), (d, d), (d,),
+                          bound=1.0 / np.sqrt(d))
         mask = np.arange(s) >= rng.integers(0, s, size=b)[:, None]
         self.check(monkeypatch,
                    lambda: ad.causal_attention(x, *params, mask, 2),

@@ -251,8 +251,9 @@ class TestBundleRoundTrip:
             load_bundle(p)
 
     @pytest.mark.parametrize("old,new,match", [
-        (b"drdt3-bundle/3", b"drdt3-bundle/1", "version mismatch"),
-        (b"drdt3-bundle/3", b"drdt3-bundle/2", "version mismatch"),
+        (b"drdt3-bundle/4", b"drdt3-bundle/1", "version mismatch"),
+        (b"drdt3-bundle/4", b"drdt3-bundle/2", "version mismatch"),
+        (b"drdt3-bundle/4", b"drdt3-bundle/3", "version mismatch"),
         (b'{"config":', b'{"config"', "JSONDecodeError"),
         (b'"config":{', b'"config":{"ttt_proj_rank":0,', "ttt_proj_rank"),
         (b'"objective":"unified",', b"", "objective"),
@@ -266,10 +267,14 @@ class TestBundleRoundTrip:
         (b'"context_len":6', b'"context_len":3.0', "context_len"),
         (b'"n_diffusion_steps":5', b'"n_diffusion_steps":5.0',
          "n_diffusion_steps"),
-    ], ids=["v1-magic", "v2-magic", "mangled-json", "unknown-config-key",
-            "missing-config-key", "missing-header-key", "zero-rtg-norm",
-            "zero-state-std", "nan-state-std", "float-context-len",
-            "float-diffusion-steps"])
+        (b'"context_len":6', b'"context_len":1000000000', "context_len"),
+        (b'"n_diffusion_steps":5', b'"n_diffusion_steps":1000000000',
+         "n_diffusion_steps"),
+    ], ids=["v1-magic", "v2-magic", "v3-magic", "mangled-json",
+            "unknown-config-key", "missing-config-key", "missing-header-key",
+            "zero-rtg-norm", "zero-state-std", "nan-state-std",
+            "float-context-len", "float-diffusion-steps", "huge-context-len",
+            "huge-diffusion-steps"])
     def test_bad_header_rejected(self, store, tiny_config, tmp_path, old, new,
                                  match):
         p = tmp_path / "h.drdt3"

@@ -1,7 +1,8 @@
 """Module boundaries that the code relies on but no import error would show.
 
 The data layer (`envs`, and `store_io` through it) must not import the
-model, and `store_io` alone reads the file frame that stores and bundles
+model, the diffusion head imports no part of the model but the autodiff
+engine, and `store_io` alone reads the file frame that stores and bundles
 share. Importing `drdt3.envs` runs the package `__init__`, which imports
 everything, so `sys.modules` cannot show this; the tests read the imports
 from the source instead.
@@ -56,6 +57,11 @@ def test_envs_imports_numpy_and_the_standard_library_only():
     relative, absolute = _imports("envs")
     assert relative == set()
     assert absolute <= set(sys.stdlib_module_names) | {"numpy"}, absolute
+
+
+def test_diffusion_head_imports_the_engine_only():
+    relative, _ = _imports("diffusion")
+    assert relative == {"autodiff"}, relative
 
 
 def test_only_store_io_reads_the_file_frame():

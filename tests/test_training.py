@@ -216,17 +216,46 @@ class TestAdamW:
                                   fresh_bundle(cfg, store).data[:n])
 
     def test_clip_grad_norm_scales_to_max(self):
-        p = DArray(np.zeros(4), requires_grad=True)
-        p.grad = np.full(4, 3.0)
-        total = clip_grad_norm([p], 1.0)
+        grad = np.full(4, 3.0)
+        total = clip_grad_norm(grad, 1.0)
         assert total == pytest.approx(6.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
+        assert np.linalg.norm(grad) == pytest.approx(1.0, rel=1e-6)
 
     def test_clip_noop_below_threshold(self):
-        p = DArray(np.zeros(2), requires_grad=True)
-        p.grad = np.array([0.1, 0.1])
-        clip_grad_norm([p], 1.0)
-        assert np.allclose(p.grad, [0.1, 0.1])
+        grad = np.array([0.1, 0.1])
+        clip_grad_norm(grad, 1.0)
+        assert np.allclose(grad, [0.1, 0.1])
+
+    @pytest.mark.parametrize("embed_dim", [32, 128])
+    def test_clip_total_matches_per_array_sum(self, store, embed_dim):
+        """The norm of the flat vector is the per-array sum of squares it
+        replaced, to 1e-14 relative; only the summation order differs."""
+        b = fresh_bundle(TrainConfig(embed_dim=embed_dim).validate(), store)
+        b.grad[:] = np.random.default_rng(embed_dim).standard_normal(
+            b.grad.size)
+        want = np.sqrt(sum(float((p.grad ** 2).sum())
+                           for p in b.parameters()))
+        before = b.grad.copy()
+        total = clip_grad_norm(b.grad, 0.25)
+        assert abs(total - want) <= 1e-14 * want
+        assert np.abs(b.grad - before * (0.25 / (want + 1e-12))).max() \
+            <= 1e-14 * np.abs(before).max()
+
+    def test_clip_total_independent_of_blas_threads(self):
+        """A BLAS dot splits its sum across threads, so its last bits
+        follow the thread count; the clip norm must not."""
+        code = ("import numpy as np; from drdt3.training import "
+                "clip_grad_norm; g = np.random.default_rng(0)"
+                ".standard_normal(201026); print(repr(clip_grad_norm(g, 0)))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        totals = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            totals.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(totals) == 1, totals
 
 
 def test_parameters_stay_views_into_the_bundle_vectors(store, tmp_path):
@@ -469,7 +498,8 @@ class TestConfigValidate:
     def test_max_episode_len_below_one_rejected(self, value):
         with pytest.raises(ConfigError, match="max_episode_len"):
             TrainConfig(max_episode_len=value).validate()
-        assert TrainConfig(max_episode_len=1).validate().max_episode_len == 1
+        assert TrainConfig(max_episode_len=1,
+                           context_len=1).validate().max_episode_len == 1
 
     def test_parser_rejects_zero_max_episode_len(self):
         with pytest.raises(ConfigError, match="max_episode_len"):
