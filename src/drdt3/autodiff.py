@@ -24,6 +24,19 @@ weight, forward or adjoint, is one 2-D GEMM over all leading rows,
 that a broadcast `np.matmul` issues. Products whose both operands vary per
 sequence (attention scores, the TTT recurrence) and the per-token query
 matvec of `ttt_linear` stay batched.
+
+The overlap rule: an adjoint hands each weight-gradient product of at least
+`_DEFER_MIN_MACS` multiply-adds, such as `x2.T @ g2`, to `acc` as a
+zero-argument callable (`_weight_grad`), as soon as its operands exist.
+Nothing later in the walk reads a weight's gradient before the weight's own
+leaf is reached, so `backward` runs the callable on one worker thread while
+the main thread goes on with the adjoint's input gradients, and waits for it
+when the adjoint returns. Each product keeps its operands and runs as one
+BLAS call, so every bit is what the inline product gives. The worker is
+started on the first deferred product, only where the process may run on
+more than one CPU; elsewhere the callables run inline, and a forked child
+starts a worker of its own. The forward, summing into a gradient and
+everything outside `backward` stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import os
+from concurrent import futures
 
 import numpy as np
 from scipy.special import erf
@@ -40,18 +55,21 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 # glibc's mallopt parameter numbers (malloc.h).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def _keep_freed_memory():
     """Fix glibc's mmap and trim thresholds, so that memory an update frees
-    stays in the process for the next one. Returns False, and does nothing,
-    where libc has no `mallopt`.
+    stays in the process for the next one, and keep one heap for all
+    threads. Returns False, and does nothing, where libc has no `mallopt`.
 
     Blocks below the mmap threshold come from the heap and go back to it
     when freed; 32 MiB, the largest value glibc accepts on 64-bit, covers
     every array of a default-scale update. The heap returns memory to the
-    OS only when more than the trim threshold is free at its top."""
+    OS only when more than the trim threshold is free at its top. With one
+    arena, the weight gradients that backward's worker thread allocates
+    reuse the heap's free memory rather than holding an arena of their own:
+    about 0.9 MiB less peak RSS in a default-scale training run."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -60,6 +78,7 @@ def _keep_freed_memory():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    mallopt(_M_ARENA_MAX, 1)
     return True
 
 
@@ -80,6 +99,48 @@ def _gemm(x, w):
     broadcast `np.matmul` issues. A non-contiguous x is copied once."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1]
                                                     + w.shape[1:])
+
+
+# A weight-gradient product of fewer multiply-adds than this runs inline. A
+# prototype that deferred every product made the d=32 training update slower
+# (p95 +5-10%) and larger (peak RSS +2 MiB): handing a 0.1-0.2 ms product to
+# the worker, and the worker's own BLAS buffer, cost more than the overlap
+# saved. 2^22 lies above every product of a d=32 update (at most 3.5e6, the
+# QKV weight of 64 x 18 tokens) and below the attention and TTT weight
+# products of a d=128 one (6.3e6 and up), so a d=32 update, `drdt3 check`
+# and inference start no thread.
+_DEFER_MIN_MACS = 1 << 22
+
+_worker = None
+
+
+def _weight_grad(macs, product):
+    """A weight gradient: the zero-argument callable `product` itself, for
+    `backward` to run on the worker, if it costs at least `_DEFER_MIN_MACS`
+    multiply-adds; else its value, computed now."""
+    return product if macs >= _DEFER_MIN_MACS else product()
+
+
+def _weight_worker():
+    """The one worker thread's executor, started on first use; None where
+    the process may run on one CPU only, or where the OS does not say
+    (`os.sched_getaffinity` is Linux-only)."""
+    global _worker
+    if _worker is None and hasattr(os, "sched_getaffinity") \
+            and len(os.sched_getaffinity(0)) > 1:
+        _worker = futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="drdt3-weight-grad")
+    return _worker
+
+
+def _drop_worker():
+    global _worker
+    _worker = None
+
+
+# A forked child has no copy of the parent's thread: it starts its own.
+if hasattr(os, "register_at_fork"):         # POSIX only
+    os.register_at_fork(after_in_child=_drop_worker)
 
 
 def _unbroadcast(grad, shape):
@@ -282,9 +343,10 @@ def affine(x, w, b):
 
     def bwd(g, acc):
         g2 = g.reshape(-1, g.shape[-1])
-        acc(x, _gemm(g, w.data.T))
-        acc(w, x.data.reshape(-1, w.data.shape[0]).T @ g2)
+        x2 = x.data.reshape(-1, w.data.shape[0])
+        acc(w, _weight_grad(x2.size * g2.shape[1], lambda: x2.T @ g2))
         acc(b, g2.sum(axis=0))
+        acc(x, _gemm(g, w.data.T))
     return _node(out, (x, w, b), bwd)
 
 
@@ -321,7 +383,9 @@ def embed_tokens(xs, ws, bs, table, timesteps):
         g = g.reshape(b, k, m_tok, d)
         for m, (x, w, bias) in enumerate(zip(xs, ws, bs)):
             g2 = g[:, :, m].reshape(-1, d)
-            acc(w, x.reshape(-1, w.data.shape[0]).T @ g2)
+            x2 = x.reshape(-1, w.data.shape[0])
+            acc(w, _weight_grad(x2.size * d,
+                                lambda x2=x2, g2=g2: x2.T @ g2))
             acc(bias, g2.sum(axis=0))
         gt = g[:, :, 0]
         for m in range(1, m_tok):
@@ -489,7 +553,7 @@ def causal_attention(x, w_qkv, b_qkv, wo, bo, key_mask, n_heads):
 
     def bwd(g, acc):
         g2 = g.reshape(-1, d)
-        acc(wo, o.reshape(-1, d).T @ g2)
+        acc(wo, _weight_grad(g2.size * d, lambda: o.reshape(-1, d).T @ g2))
         acc(bo, g2.sum(axis=0))
         go = _gemm(g, wo.data.T).reshape(b, s, n_heads, dh)
         go = go.transpose(0, 2, 1, 3)
@@ -505,7 +569,8 @@ def causal_attention(x, w_qkv, b_qkv, wo, bo, key_mask, n_heads):
         del go, gs                        # freed before the two GEMMs below
         gqkv = gqkv.reshape(b, s, 3 * d)
         gqkv2 = gqkv.reshape(-1, 3 * d)
-        acc(w_qkv, xd.reshape(-1, d).T @ gqkv2)
+        acc(w_qkv, _weight_grad(gqkv2.size * d,
+                                lambda: xd.reshape(-1, d).T @ gqkv2))
         acc(b_qkv, gqkv2.sum(axis=0))
         acc(x, _gemm(gqkv, w_qkv.data.T))
     return _node(out, (x, w_qkv, b_qkv, wo, bo), bwd)
@@ -582,19 +647,25 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
     def bwd(g, acc):
         # gm = -c dL/dM, gr = -dL/dR and ga = c dL/dA: the signs and the
         # steps c are folded in where they cost nothing.
+        # Each weight gradient goes to `acc` as soon as its operands exist,
+        # so the worker computes it while the next ones are derived.
         et = np.swapaxes(e, 1, 2)
         gm = np.where(lower, np.matmul(g, et), 0.0) * c
         gr = _unit_upper_solve(a, np.matmul(np.swapaxes(m, 1, 2), g))
+        g2, q2, xr2, k2, x2, gr2 = (
+            t.reshape(-1, d) for t in (g, q, xr, k, xd, gr))
+        macs = x2.size * d
+        acc(w0, _weight_grad(g2.size * d + macs,
+                             lambda: g2.T @ q2 - gr2.T @ k2))
+        acc(theta_v, _weight_grad(macs, lambda: gr2.T @ x2))
         ga = np.where(strict, np.matmul(gr, et), 0.0) * c
         gq = _gemm(g, w) - np.matmul(gm, k)
+        gq2 = gq.reshape(-1, d)
+        acc(theta_q, _weight_grad(g2.size * d, lambda: gq2.T @ xr2))
         gk = (np.matmul(ga + np.swapaxes(ga, 1, 2), k) - _gemm(gr, w)
               - np.matmul(np.swapaxes(gm, 1, 2), q))
-        g2, q2, xr2, k2, x2, gq2, gk2, gr2 = (
-            t.reshape(-1, d) for t in (g, q, xr, k, xd, gq, gk, gr))
-        acc(w0, g2.T @ q2 - gr2.T @ k2)
-        acc(theta_q, gq2.T @ xr2)
-        acc(theta_k, gk2.T @ x2)
-        acc(theta_v, gr2.T @ x2)
+        gk2 = gk.reshape(-1, d)
+        acc(theta_k, _weight_grad(macs, lambda: gk2.T @ x2))
         # Summed in the order (gq + gk) + gr, as when every row is read.
         gx = (gk2 @ theta_k.data).reshape(b, s, d)
         gx[:, rows] += (gq2 @ theta_q.data).reshape(gq.shape)
@@ -621,6 +692,13 @@ def backward(loss):
     dropped as soon as it has run, and replaced by one that raises. So a
     second `backward` through the same nodes, or through a new graph built
     on them, raises RuntimeError. The nodes keep their `.data`.
+
+    A weight gradient that an adjoint passes as a callable (the overlap rule
+    of the module docstring) runs on the worker thread when it is aimed at a
+    leaf that requires a gradient, else inline. Its Future stands in `grads`
+    until the adjoint returns; then `backward` waits for every product the
+    adjoint deferred, also when the adjoint raises, and re-raises a
+    product's error. So no product is left running when `backward` returns.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -643,13 +721,22 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
+    deferred = []                       # (key, Future) of the running adjoint
 
     def acc(node, g):
         key = id(node)
+        if callable(g):
+            worker = (_weight_worker() if node._backward is None
+                      and node.requires_grad else None)
+            if worker is None:
+                g = g()
+            else:
+                g = worker.submit(g)
+                deferred.append((key, g))
         # No adjoint writes into its incoming gradient, so the first one a
         # node receives is kept as it is.
         if key in grads:
-            grads[key] = grads[key] + g
+            grads[key] = _result(grads[key]) + _result(g)
         else:
             grads[key] = g
 
@@ -661,12 +748,24 @@ def backward(loss):
         g = grads.pop(id(node), None)
         if node._backward is not None:
             if g is not None:
-                node._backward(g, acc)
+                try:
+                    node._backward(g, acc)
+                finally:
+                    if deferred:
+                        futures.wait([f for _, f in deferred])
+                for key, f in deferred:
+                    if grads.get(key) is f:
+                        grads[key] = f.result()
+                deferred.clear()
             node._backward, node._parents = _used_up, ()
         elif g is not None and node.requires_grad:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
+
+
+def _result(g):
+    return g.result() if isinstance(g, futures.Future) else g
 
 
 def zero_grads(params):

@@ -1,6 +1,10 @@
 import ast
 import inspect
+import os
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -316,3 +320,142 @@ def test_check_covers_exactly_the_recorded_primitives():
     checked = {name.removeprefix("primitive.")
                for name, _, _ in checks.check_primitives(trials=1)}
     assert checked == recorded
+
+
+# ---------------------------------------------------------------------------
+# The overlap rule: weight gradients on the worker thread
+# ---------------------------------------------------------------------------
+
+MULTI_CPU = (hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) > 1)
+INLINE, DEFER_ALL = 1 << 62, 0      # `_DEFER_MIN_MACS` gates
+
+
+class RecordingWorker:
+    """An executor that keeps every Future it hands out."""
+
+    def __init__(self, pool):
+        self.pool, self.futures = pool, []
+
+    def submit(self, fn):
+        self.futures.append(self.pool.submit(fn))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """Wraps the engine's worker, where it has one, in a RecordingWorker."""
+    rec, real = RecordingWorker(None), ad._weight_worker
+
+    def worker():
+        rec.pool = real()
+        return rec if rec.pool is not None else None
+    monkeypatch.setattr(ad, "_weight_worker", worker)
+    return rec
+
+
+def _shared_weight_affines(rng):
+    """Two affine maps that share w: two adjoints, one deferred product
+    each, into one leaf. Returns the loss's builder and the leaves."""
+    w, b = rand(rng, 8, 8), rand(rng, 8)
+    x = DArray(rng.uniform(-2, 2, size=(4, 5, 8)))
+
+    def loss():
+        out = ad.affine(ad.gelu(ad.affine(x, w, b)), w, b)
+        return ad.sum_all(ad.square(out))
+    return loss, [w, b]
+
+
+def _shared_weight_ttt(rng):
+    """A TTT pass whose three projections are one leaf: three deferred
+    products, into one leaf, within one adjoint."""
+    w0, theta, x = rand(rng, 8, 8), rand(rng, 8, 8), rand(rng, 3, 5, 8)
+
+    def loss():
+        out = ad.ttt_linear(x, w0, theta, theta, theta, 0.1)
+        return ad.sum_all(ad.square(out))
+    return loss, [w0, theta, x]
+
+
+@pytest.mark.parametrize("graph", [_shared_weight_affines, _shared_weight_ttt])
+def test_deferred_products_accumulate_as_inline_ones(graph, monkeypatch,
+                                                     recording):
+    """Two backward calls into leaves whose `.grad` starts non-zero give
+    the same bits whether each weight product is deferred or inline."""
+    grads = {}
+    for gate in (INLINE, DEFER_ALL):
+        monkeypatch.setattr(ad, "_DEFER_MIN_MACS", gate)
+        recording.futures.clear()
+        rng = np.random.default_rng(11)
+        loss, leaves = graph(rng)
+        for p in leaves:
+            p.grad = rng.normal(size=p.shape)
+        ad.backward(loss())
+        ad.backward(loss())
+        grads[gate] = [p.grad.tobytes() for p in leaves]
+        assert bool(recording.futures) == (gate == DEFER_ALL and MULTI_CPU)
+    assert grads[INLINE] == grads[DEFER_ALL]
+
+
+def _two_layer_loss(rng):
+    w1, b1, w2, b2 = params = [rand(rng, 8, 8), rand(rng, 8),
+                               rand(rng, 8, 8), rand(rng, 8)]
+    ad.zero_grads(params)
+    x = DArray(rng.uniform(-2, 2, size=(6, 8)))
+    out = ad.affine(ad.gelu(ad.affine(x, w1, b1)), w2, b2)
+    return ad.sum_all(ad.square(out)), params
+
+
+@pytest.mark.parametrize("where", ["worker", "main thread"])
+def test_failed_backward_leaves_no_work_running(where, monkeypatch):
+    """An error in a deferred product, or in the adjoint that deferred one,
+    comes out of `backward` once every deferred product has finished; a
+    fresh forward and backward then succeed."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    rec = RecordingWorker(pool)
+    monkeypatch.setattr(ad, "_DEFER_MIN_MACS", DEFER_ALL)
+    monkeypatch.setattr(ad, "_weight_worker", lambda: rec)
+    loss, params = _two_layer_loss(np.random.default_rng(2))
+    if where == "worker":
+        def failing(macs, product):
+            def product_then_fail():
+                product()
+                raise FloatingPointError("deferred product failed")
+            return product_then_fail
+        monkeypatch.setattr(ad, "_weight_grad", failing)
+    else:
+        def slow(macs, product):
+            def slow_product():
+                time.sleep(0.2)
+                return product()
+            return slow_product
+
+        def failing_gemm(x, w):
+            raise FloatingPointError("input gradient failed")
+        monkeypatch.setattr(ad, "_weight_grad", slow)
+        monkeypatch.setattr(ad, "_gemm", failing_gemm)   # after the forward
+    with pytest.raises(FloatingPointError, match="failed"):
+        ad.backward(loss)
+    assert rec.futures and all(f.done() for f in rec.futures)
+    pool.shutdown()
+
+    monkeypatch.undo()
+    expected = []
+    for gate in (INLINE, DEFER_ALL):
+        monkeypatch.setattr(ad, "_DEFER_MIN_MACS", gate)
+        loss, params = _two_layer_loss(np.random.default_rng(2))
+        ad.backward(loss)
+        expected.append([p.grad.tobytes() for p in params])
+    assert expected[0] == expected[1]
+
+
+def test_one_cpu_defers_nothing(monkeypatch):
+    monkeypatch.setattr(ad, "_DEFER_MIN_MACS", DEFER_ALL)
+    monkeypatch.setattr(ad, "_worker", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    threads = threading.active_count()
+    loss, params = _two_layer_loss(np.random.default_rng(3))
+    ad.backward(loss)
+    assert ad._worker is None and threading.active_count() == threads
+    assert all(np.isfinite(p.grad).all() for p in params)

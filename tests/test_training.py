@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,103 @@ def test_default_scale_update_reuses_freed_memory():
                          capture_output=True, text=True, check=True,
                          timeout=300)
     assert float(out.stdout) < UPDATE_FAULTS
+
+
+# ---------------------------------------------------------------------------
+# Weight gradients on backward's worker thread (autodiff's overlap rule)
+# ---------------------------------------------------------------------------
+
+MULTI_CPU = (hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) > 1)
+
+
+def _stitch_scale():
+    """Criterion 7's recipe (d=32, B=64, K=6), one update."""
+    return (generate_dataset("stitchchain", "stitch", 40, seed=1),
+            TrainConfig(embed_dim=32, batch_size=64, max_episode_len=32,
+                        learning_rate=1e-4, zeta=1.0, seed=7, epochs=1,
+                        updates_per_epoch=1, eval_episodes=0).validate())
+
+
+def _default_scale():
+    """Library defaults (d=128, B=64, K=6) on pointreach, one update."""
+    return (generate_dataset("pointreach", "medium", 40, seed=1),
+            TrainConfig(seed=1, epochs=1, updates_per_epoch=1,
+                        eval_episodes=0).validate())
+
+
+def _one_update(scale):
+    data, cfg = scale()
+    bundle = fresh_bundle(cfg, data)
+    train(cfg, data, bundle=bundle, eval_each_epoch=False)
+    return bundle
+
+
+@pytest.mark.parametrize("scale", [_stitch_scale, _default_scale])
+def test_deferred_weight_gradients_equal_inline_ones(scale, monkeypatch):
+    """One update's gradient vector and parameters are the same bits with
+    every weight product deferred, none, and the gated default."""
+    runs = {}
+    for gate in (1 << 62, 0, ad._DEFER_MIN_MACS):
+        monkeypatch.setattr(ad, "_DEFER_MIN_MACS", gate)
+        bundle = _one_update(scale)
+        runs[gate] = (bundle.grad.tobytes(), bundle.data.tobytes())
+    assert len(set(runs.values())) == 1
+
+
+def test_stitch_scale_update_and_check_start_no_thread(monkeypatch):
+    monkeypatch.setattr(ad, "_worker", None)
+    threads = threading.active_count()
+    _one_update(_stitch_scale)
+    assert all(e < lim for _, e, lim in checks.run_checks("all"))
+    assert ad._worker is None and threading.active_count() == threads
+
+
+@pytest.mark.skipif(not MULTI_CPU, reason="one CPU: products run inline")
+def test_default_scale_update_starts_one_thread(monkeypatch):
+    monkeypatch.setattr(ad, "_worker", None)
+    threads = threading.active_count()
+    try:
+        _one_update(_default_scale)
+        _one_update(_default_scale)
+        assert threading.active_count() == threads + 1
+    finally:
+        if ad._worker is not None:
+            ad._worker.shutdown()
+
+
+_FORK_SCRIPT = """
+import os, signal
+from drdt3 import autodiff as ad
+from drdt3.config import TrainConfig
+from drdt3.envs import generate_dataset
+from drdt3.training import train
+
+store = generate_dataset("pointreach", "medium", 40, seed=1)
+cfg = TrainConfig(seed=1, epochs=1, updates_per_epoch=1,
+                  eval_episodes=0).validate()
+train(cfg, store, eval_each_epoch=False)
+parent_worker = ad._worker
+assert parent_worker is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    train(cfg, store, eval_each_epoch=False)
+    os._exit(0 if ad._worker not in (None, parent_worker) else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not MULTI_CPU, reason="one CPU: no worker to fork")
+def test_forked_child_runs_backward_with_a_worker_of_its_own():
+    """The child of a process whose worker has run gets no copy of that
+    thread; its own backward starts a new one and finishes."""
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FORK_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["0"]
 
 
 # ---------------------------------------------------------------------------
