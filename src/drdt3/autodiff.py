@@ -35,8 +35,14 @@ when the adjoint returns. Each product keeps its operands and runs as one
 BLAS call, so every bit is what the inline product gives. The worker is
 started on the first deferred product, only where the process may run on
 more than one CPU; elsewhere the callables run inline, and a forked child
-starts a worker of its own. The forward, summing into a gradient and
-everything outside `backward` stay on the calling thread.
+starts a worker of its own. The same worker runs half of a large
+attention or TTT forward: every product in those forwards is per sequence
+or per row, so `_by_halves` has the worker write batch rows [0, B/2) of
+the arrays the adjoint keeps while the calling thread writes [B/2, B), and
+every bit is what the whole-batch forward gives. A batch of one row, or one
+whose largest product is under `_DEFER_MIN_MACS`, runs inline. The other
+primitives, summing into a gradient and everything outside these forwards
+and `backward` stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -93,12 +99,16 @@ class EvaluationError(RuntimeError):
     """Raised when a checked function produces non-finite values."""
 
 
-def _gemm(x, w):
+def _gemm(x, w, out=None):
     """x @ w for an (..., m) array x and a 2-D (m, n) w as one 2-D GEMM over
     all leading rows, not the one small GEMM per leading index that a
-    broadcast `np.matmul` issues. A non-contiguous x is copied once."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1]
-                                                    + w.shape[1:])
+    broadcast `np.matmul` issues. A non-contiguous x is copied once. With
+    `out`, a C-contiguous (..., n) array, the product is written into it."""
+    x2 = x.reshape(-1, x.shape[-1])
+    if out is None:
+        return (x2 @ w).reshape(x.shape[:-1] + w.shape[1:])
+    np.matmul(x2, w, out=out.reshape(x2.shape[0], w.shape[1]))
+    return out
 
 
 # A weight-gradient product of fewer multiply-adds than this runs inline. A
@@ -108,7 +118,8 @@ def _gemm(x, w):
 # saved. 2^22 lies above every product of a d=32 update (at most 3.5e6, the
 # QKV weight of 64 x 18 tokens) and below the attention and TTT weight
 # products of a d=128 one (6.3e6 and up), so a d=32 update, `drdt3 check`
-# and inference start no thread.
+# and inference start no thread. The same gate splits the attention and TTT
+# forwards (`_by_halves`) by their largest product.
 _DEFER_MIN_MACS = 1 << 22
 
 _worker = None
@@ -124,13 +135,35 @@ def _weight_grad(macs, product):
 def _weight_worker():
     """The one worker thread's executor, started on first use; None where
     the process may run on one CPU only, or where the OS does not say
-    (`os.sched_getaffinity` is Linux-only)."""
+    (`os.sched_getaffinity` is Linux-only). It runs backward's deferred
+    weight products and the first batch half of a split forward; both
+    wait for it before they return, so at most one of them uses it."""
     global _worker
     if _worker is None and hasattr(os, "sched_getaffinity") \
             and len(os.sched_getaffinity(0)) > 1:
         _worker = futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="drdt3-weight-grad")
     return _worker
+
+
+def _by_halves(b, macs, fill):
+    """Call `fill(part)`, which writes the batch rows `part` of a forward's
+    outputs: once over the whole batch, or, for b >= 2 rows whose largest
+    product has at least `_DEFER_MIN_MACS` multiply-adds and where the
+    worker exists, with rows [0, b // 2) on the worker and [b // 2, b) on
+    this thread. Returns once both halves are done; an error in either is
+    raised then, this thread's first."""
+    worker = _weight_worker() if b > 1 and macs >= _DEFER_MIN_MACS else None
+    if worker is None:
+        fill(slice(None))
+        return
+    half = b // 2
+    first = worker.submit(lambda: fill(slice(0, half)))
+    try:
+        fill(slice(half, b))
+    finally:
+        futures.wait([first])
+    first.result()
 
 
 def _drop_worker():
@@ -533,23 +566,34 @@ def causal_attention(x, w_qkv, b_qkv, wo, bo, key_mask, n_heads):
     if d % n_heads:
         raise ShapeError(f"embed dim {d} not divisible by {n_heads} heads")
     dh = d // n_heads
-    qkv = _gemm(xd, w_qkv.data)
-    qkv += b_qkv.data
-    # q, k, v: (B, heads, s, d_h) views of the (B, s, 3, heads, d_h) product.
-    q, k, v = qkv.reshape(b, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     scale = float(1.0 / np.sqrt(dh))
     lower, _, diag = _tri_masks(s)
-    mask = lower & key_mask[:, None, None, :]
-    mask |= diag
-    scores = np.matmul(q, k.swapaxes(-1, -2))
-    scores *= scale
-    p = np.where(mask, scores, -np.inf)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)                   # exp(-inf) = 0: masked keys drop out
-    p /= p.sum(axis=-1, keepdims=True)
-    o = np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b, s, d)
-    out = _gemm(o, wo.data)
-    out += bo.data
+    qkv, p = np.empty((b, s, 3 * d)), np.empty((b, n_heads, s, s))
+    o, out = np.empty((b, s, d)), np.empty((b, s, d))
+
+    def fill(part):
+        qkv_p = _gemm(xd[part], w_qkv.data, out=qkv[part])
+        qkv_p += b_qkv.data
+        # (b', heads, s, d_h) views of the (b', s, 3, heads, d_h) product.
+        q, k, v = qkv_p.reshape(-1, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+        # The keys a query does not see: all but j <= t with key j real,
+        # and j = t.
+        hidden = lower & key_mask[part, None, None, :]
+        hidden |= diag
+        np.logical_not(hidden, out=hidden)
+        p_p = np.matmul(q, k.swapaxes(-1, -2), out=p[part])
+        p_p *= scale
+        np.copyto(p_p, -np.inf, where=hidden)
+        p_p -= p_p.max(axis=-1, keepdims=True)
+        np.exp(p_p, out=p_p)           # exp(-inf) = 0: masked keys drop out
+        p_p /= p_p.sum(axis=-1, keepdims=True)
+        # Each head's P V goes straight into its columns of o (b', s, d).
+        o_p = o[part].reshape(-1, s, n_heads, dh)
+        np.matmul(p_p, v, out=o_p.swapaxes(1, 2))
+        out_p = _gemm(o[part], wo.data, out=out[part])
+        out_p += bo.data
+    _by_halves(b, b * s * d * 3 * d, fill)
+    q, k, v = qkv.reshape(b, s, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
 
     def bwd(g, acc):
         g2 = g.reshape(-1, d)
@@ -618,31 +662,46 @@ def ttt_linear(x, w0, theta_q, theta_k, theta_v, c, rows=slice(None)):
     M_tj = c_j q_t.k_j (j <= t). Row t of the output depends only on
     tokens <= t, bitwise.
 
-    Only the token positions `rows` (a basic slice) are read out: the output
-    is (B, len(rows), d). Every token still writes the fast weight, so keys,
+    Only the token positions `rows` (a slice) are read out: the output is
+    (B, len(rows), d). Every token still writes the fast weight, so keys,
     values, A and E span all s tokens; queries and M exist only at `rows`.
+    Any other `rows` raises `ShapeError`.
     """
+    if not isinstance(rows, slice):
+        raise ShapeError(f"ttt_linear reads out a slice of rows, got {rows!r}")
     xd, w = x.data, w0.data
     b, s, d = xd.shape
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (b, s))[:, None, :]
-    # q_t = theta_q x_t per token, so that with c = 0 the output is exactly
-    # w0 (theta_q x_t). k and v are separate GEMM outputs, so the adjoint,
-    # which keeps k, never pins v.
     xr = xd[:, rows]
-    q = np.matmul(theta_q.data, xr[..., None])[..., 0]
-    k = _gemm(xd, theta_k.data.T)
-    v = _gemm(xd, theta_v.data.T)
-    kt = np.swapaxes(k, 1, 2)
+    n = xr.shape[1]
     lower, strict, _ = _tri_masks(s)
     lower = lower[rows]
-    # np.where with a cached mask is np.tril's own arithmetic.
-    a = np.where(strict, np.matmul(k, kt) * c, 0.0)
-    m = np.where(lower, np.matmul(q, kt) * c, 0.0)
-    r = _gemm(k, w.T)
-    r -= v
-    del v                              # freed before the solve
-    e = _unit_lower_solve(a, r)        # in place: r becomes e
-    out = np.matmul(w, q[..., None])[..., 0] - np.matmul(m, e)
+    q, m, out = np.empty((b, n, d)), np.empty((b, n, s)), np.empty((b, n, d))
+    k, a, e = np.empty((b, s, d)), np.empty((b, s, s)), np.empty((b, s, d))
+
+    def fill(part):
+        # q_t = theta_q x_t per token, so that with c = 0 the output is
+        # exactly w0 (theta_q x_t). k and v are separate GEMM outputs, so
+        # the adjoint, which keeps k, never pins v.
+        q_p, k_p, a_p, m_p, e_p = q[part], k[part], a[part], m[part], e[part]
+        np.matmul(theta_q.data, xr[part][..., None], out=q_p[..., None])
+        _gemm(xd[part], theta_k.data.T, out=k_p)
+        kt = np.swapaxes(k_p, 1, 2)
+        # Zeroing outside a cached mask is np.tril's own arithmetic.
+        np.matmul(k_p, kt, out=a_p)
+        a_p *= c[part]
+        np.copyto(a_p, 0.0, where=~strict)
+        np.matmul(q_p, kt, out=m_p)
+        m_p *= c[part]
+        np.copyto(m_p, 0.0, where=~lower)
+        v = _gemm(xd[part], theta_v.data.T)
+        _gemm(k_p, w.T, out=e_p)
+        e_p -= v
+        del v                          # freed before the solve
+        _unit_lower_solve(a_p, e_p)    # in place: k w^T - v becomes e
+        out_p = np.matmul(w, q_p[..., None], out=out[part][..., None])
+        out_p[..., 0] -= np.matmul(m_p, e_p)
+    _by_halves(b, b * s * d * d, fill)
 
     def bwd(g, acc):
         # gm = -c dL/dM, gr = -dL/dR and ga = c dL/dA: the signs and the

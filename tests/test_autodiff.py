@@ -15,6 +15,7 @@ from scipy.special import erf
 from drdt3 import autodiff as ad
 from drdt3 import checks
 from drdt3.autodiff import DArray
+from drdt3.dt3 import STATE_ROWS
 
 
 def rand(rng, *shape):
@@ -303,6 +304,17 @@ def test_take_slice_rejects_index_arrays(key):
         DArray(np.eye(3), requires_grad=True)[key]
 
 
+@pytest.mark.parametrize("rows", [np.array([1, 1, 3]), [0, 2], 1,
+                                  np.array([True, False, True, False])],
+                         ids=["repeated", "list", "int", "boolean"])
+def test_ttt_linear_rejects_rows_that_are_not_a_slice(rows):
+    """A repeated row would be dropped by the adjoint's `gx[:, rows] +=`."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ad.ShapeError, match="slice"):
+        ad.ttt_linear(rand(rng, 2, 4, 3), *(rand(rng, 3, 3) for _ in range(4)),
+                      0.1, rows)
+
+
 def _recorded_primitives():
     """Public functions of `autodiff` that return `_node(...)`."""
     tree = ast.parse(inspect.getsource(ad))
@@ -459,3 +471,98 @@ def test_one_cpu_defers_nothing(monkeypatch):
     ad.backward(loss)
     assert ad._worker is None and threading.active_count() == threads
     assert all(np.isfinite(p.grad).all() for p in params)
+
+
+# ---------------------------------------------------------------------------
+# Split forwards: attention and TTT batch halves on two threads
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pool_worker(monkeypatch):
+    """A RecordingWorker on a pool of its own as the engine's worker, so a
+    split forward runs on two threads on any machine."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    rec = RecordingWorker(pool)
+    monkeypatch.setattr(ad, "_weight_worker", lambda: rec)
+    yield rec
+    pool.shutdown()
+
+
+def _attention(rng, b, n_heads):
+    s, d = 9, 8
+    x = rand(rng, b, s, d)
+    params = [rand(rng, d, 3 * d), rand(rng, 3 * d), rand(rng, d, d),
+              rand(rng, d)]
+    mask = np.arange(s) >= rng.integers(0, s, size=b)[:, None]
+    return (lambda: ad.causal_attention(x, *params, mask, n_heads),
+            [x] + params)
+
+
+def _ttt(rng, b, rows):
+    s, d = 9, 8
+    x = rand(rng, b, s, d)
+    params = [DArray(rng.uniform(-0.3, 0.3, (d, d)), requires_grad=True)
+              for _ in range(4)]
+    c = rng.uniform(0.0, 0.5, (b, s)) * (np.arange(s) >= rng.integers(
+        0, s, size=b)[:, None])
+    return lambda: ad.ttt_linear(x, *params, c, rows), [x] + params
+
+
+SPLIT_CASES = (
+    [pytest.param(_attention, b, h, id=f"attention-B{b}-heads{h}")
+     for b in (1, 2, 3, 64) for h in (1, 2)]
+    + [pytest.param(_ttt, b, rows, id=f"ttt-B{b}-{name}-rows")
+       for b in (1, 2, 3, 64)
+       for name, rows in (("all", slice(None)), ("state", STATE_ROWS))])
+
+
+@pytest.mark.parametrize("primitive, b, arg", SPLIT_CASES)
+def test_split_forward_equals_inline_one(primitive, b, arg, monkeypatch,
+                                         pool_worker):
+    """The output, unrecorded and recorded, and every gradient are the same
+    bits whether the forward runs over the whole batch or in two halves;
+    it splits only where there are two rows or more."""
+    runs = {}
+    for gate in (INLINE, DEFER_ALL):
+        monkeypatch.setattr(ad, "_DEFER_MIN_MACS", gate)
+        rng = np.random.default_rng(b)
+        f, leaves = primitive(rng, b, arg)
+        pool_worker.futures.clear()
+        with ad.no_grad():
+            plain = f()
+        assert len(pool_worker.futures) == (gate == DEFER_ALL and b > 1)
+        out = f()
+        ad.backward(ad.sum_all(out * rng.normal(size=out.shape)))
+        runs[gate] = [plain.data.tobytes(), out.data.tobytes()] + [
+            p.grad.tobytes() for p in leaves]
+    assert runs[INLINE] == runs[DEFER_ALL]
+
+
+@pytest.mark.parametrize("primitive", [_attention, _ttt],
+                         ids=["attention", "ttt"])
+@pytest.mark.parametrize("where", ["worker", "main thread"])
+def test_failed_split_forward_leaves_no_work_running(primitive, where,
+                                                     monkeypatch, pool_worker):
+    """An error in either batch half comes out of the primitive once both
+    halves are done; the next forward then gives the inline bits."""
+    arg = 1 if primitive is _attention else STATE_ROWS
+    f, _ = primitive(np.random.default_rng(4), 4, arg)
+    monkeypatch.setattr(ad, "_DEFER_MIN_MACS", DEFER_ALL)
+    gemm = ad._gemm
+
+    def failing_gemm(x, w, out=None):
+        if (threading.current_thread() is threading.main_thread()) \
+                == (where == "main thread"):
+            raise FloatingPointError("batch half failed")
+        time.sleep(0.05)            # still running when the other raises
+        return gemm(x, w, out)
+    monkeypatch.setattr(ad, "_gemm", failing_gemm)
+    with pytest.raises(FloatingPointError, match="batch half failed"):
+        f()
+    assert len(pool_worker.futures) == 1 and pool_worker.futures[0].done()
+
+    monkeypatch.setattr(ad, "_gemm", gemm)
+    split = f().data.tobytes()
+    monkeypatch.setattr(ad, "_DEFER_MIN_MACS", INLINE)
+    assert split == f().data.tobytes()
+    assert len(pool_worker.futures) == 2

@@ -521,7 +521,9 @@ def _one_update(scale):
 @pytest.mark.parametrize("scale", [_stitch_scale, _default_scale])
 def test_deferred_weight_gradients_equal_inline_ones(scale, monkeypatch):
     """One update's gradient vector and parameters are the same bits with
-    every weight product deferred, none, and the gated default."""
+    every weight product deferred, none, and the gated default. At the
+    default scale the gate also splits the attention and TTT forwards into
+    batch halves, so this compares split forwards with inline ones too."""
     runs = {}
     for gate in (1 << 62, 0, ad._DEFER_MIN_MACS):
         monkeypatch.setattr(ad, "_DEFER_MIN_MACS", gate)
@@ -535,6 +537,19 @@ def test_stitch_scale_update_and_check_start_no_thread(monkeypatch):
     threads = threading.active_count()
     _one_update(_stitch_scale)
     assert all(e < lim for _, e, lim in checks.run_checks("all"))
+    assert ad._worker is None and threading.active_count() == threads
+
+
+def test_default_scale_rollout_starts_no_thread(monkeypatch):
+    """A rollout step reads one window (B=1), so at d=128 its attention
+    and TTT forwards still run inline."""
+    monkeypatch.setattr(ad, "_worker", None)
+    threads = threading.active_count()
+    data, cfg = _default_scale()
+    bundle = fresh_bundle(cfg, data)
+    policy = rollout_policy(bundle, starting_rtg(bundle, 1.0),
+                            np.random.default_rng(0))
+    assert rollout(make_env(bundle.env_id), policy).length > 0
     assert ad._worker is None and threading.active_count() == threads
 
 
