@@ -49,6 +49,9 @@ def cmd_gen_data(args):
         store = generate_dataset(args.env, args.tier, args.n_traj, args.seed)
     except ValueError as e:
         return _fail(e)
+    except MemoryError as e:
+        return _fail(f"--n-traj {args.n_traj} needs more memory than is "
+                     f"available: {e}")
     for path, write in ((args.out, save_store), (args.text_out, export_text)):
         if path:
             try:
@@ -145,6 +148,9 @@ def cmd_eval(args):
             )
     except ValueError as e:
         return _fail(e)
+    except MemoryError as e:
+        return _fail(f"--episodes {args.episodes} needs more memory than is "
+                     f"available: {e}")
     norm = normalized_score(returns.mean(), make_env_spec(bundle.env_id))
     print(f"episodes: {args.episodes}  mode: {args.mode}")
     print(f"return: {returns.mean():.4f} +/- {returns.std():.4f}")

@@ -9,18 +9,11 @@ Each env class declares its action bound `a_max` and the dataset `tiers`
 it offers, and owns any recipe beyond the shared noisy-expert tiers. Each
 has one batched `dynamics` over (E, .) states; `step` is its one-episode
 case. Offline episodes (the reference scores, the sigma calibration and
-every dataset tier) are stepped by one loop, `run_lockstep`, and reproduce
-bit for bit what a one-episode-at-a-time loop over one shared random
-stream gives:
-- a pointreach `medium` or `medium-replay` dataset runs as one batch,
-  since every episode lasts t_max steps and its noise can be drawn up
-  front;
-- a stitchchain noisy-expert tier, and the stitch tier's family A, run one
-  episode at a time: an episode's length, or its state, decides how much
-  of the stream it draws, and so where the next episode starts;
-- the stitch tier's family B draws nothing and runs as one batch;
-- the scorers run every episode a random stream could start at once
-  (`lane_returns`).
+every dataset tier) are stepped by one loop, `run_lockstep`. A scored or
+noisy-expert episode reads its own block of t_max rows of its stream,
+whether or not it lasts that long, so all of them run as one batch on
+draws made up front. The stitch tier's family A, whose draws depend on
+its state, runs one episode at a time.
 `rollout` steps one episode of an env under any policy. The module knows
 nothing of the model: the evaluation policy lives in `training`.
 """
@@ -174,7 +167,6 @@ class PointReach:
     d_state = 4              # the batched state is the observation
     reward_kind = "dense"
     tiers = ("medium", "medium-replay")
-    fixed_length = True      # every episode lasts t_max steps
     dt = 0.1
     goal = np.array([1.0, 1.0])
 
@@ -228,7 +220,6 @@ class StitchChain:
     d_state = 2              # the observation, then whether the reward is paid
     reward_kind = "sparse"
     tiers = ("medium", "medium-replay", "stitch")
-    fixed_length = False
 
     def __init__(self):
         self.pos = 0.0
@@ -362,32 +353,17 @@ def lane_returns(env_cls, policy, noise, episodes):
     """Mean return of `episodes` back-to-back episodes in each lane.
 
     Lane l is one random stream: `noise[l]` holds its draws, one row per
-    step (`episodes * t_max` rows, in the order a sequential loop consumes
-    them), and `policy(observations, rows)` acts on them. Where an episode
-    starts in the stream depends on how long the earlier ones lasted, so
-    every episode a lane could start runs at once under `run_lockstep`:
-    one from every t_max-th row for a fixed-length env, else one from
-    every row. Each lane then follows its own chain of episode ends, and
-    its rewards are summed in step order, as `total += r` sums them.
+    step, and episode k reads rows k * t_max to (k + 1) * t_max - 1 of it,
+    whether or not it lasts that long. Every episode of every lane runs at
+    once under `run_lockstep`, where `policy(observations, rows)` acts on
+    them, and each lane's rewards are summed in step order, as `total += r`
+    sums them.
     """
     n_lanes, t_max = len(noise), env_cls.t_max
-    stride = t_max if env_cls.fixed_length else 1
-    starts = np.arange(0, (episodes - 1) * t_max + 1, stride)
-    rows = n_lanes * len(starts)
-    rewards, lengths = run_lockstep(
-        env_cls,
-        lambda obs, t: policy(obs, noise[:, starts + t].reshape(
-            rows, noise.shape[2])),
-        rows)
-    rewards = rewards.reshape(n_lanes, len(starts), t_max)
-    lengths = lengths.reshape(n_lanes, len(starts))
-    lane = np.arange(n_lanes)
-    chain = np.zeros((n_lanes, episodes), dtype=np.int64)
-    for k in range(1, episodes):
-        chain[:, k] = chain[:, k - 1] + lengths[lane, chain[:, k - 1]] // stride
-    total = np.cumsum(rewards[lane[:, None], chain].reshape(n_lanes, -1),
-                      axis=1)[:, -1]
-    return total / episodes
+    blocks = noise.reshape(n_lanes * episodes, t_max, noise.shape[2])
+    rewards, _ = run_lockstep(
+        env_cls, lambda obs, t: policy(obs, blocks[:, t]), len(blocks))
+    return np.cumsum(rewards.reshape(n_lanes, -1), axis=1)[:, -1] / episodes
 
 
 def make_env_spec(env_id):
@@ -472,22 +448,15 @@ def generate_dataset(env_id, tier, n_traj, seed):
     else:                                                  # medium-replay
         sigmas = list(np.linspace(max(2 * sigma, 1.0), sigma, n_traj))
 
-    if env.fixed_length:
-        # Every episode draws t_max rows, so all of them run as one batch on
-        # noise drawn up front in the order a one-at-a-time loop draws it.
-        # -0.0 is the exact additive identity for a sigma that draws nothing.
-        noise = np.full((n_traj, env.t_max, env.d_a), -0.0)
-        for j, sigma_j in enumerate(sigmas):
-            if sigma_j > 0.0:
-                noise[j] = rng.normal(0.0, sigma_j, size=(env.t_max, env.d_a))
-        trajs = _record(
-            env, lambda obs, t: env.expert_actions(obs, noise[:, t]), n_traj)
-    else:
-        # An episode's length sets where the next one starts in the stream.
-        trajs = [_record(env, lambda obs, t: env.expert_actions(
-                     obs, rng.normal(0.0, sigma_j, size=(1, env.d_a))
-                     if sigma_j > 0.0 else None), 1)[0]
-                 for sigma_j in sigmas]
+    # Each episode reads its own block of t_max rows, drawn in episode
+    # order; -0.0 is the exact additive identity for a sigma that draws
+    # nothing.
+    noise = np.full((n_traj, env.t_max, env.d_a), -0.0)
+    for j, sigma_j in enumerate(sigmas):
+        if sigma_j > 0.0:
+            noise[j] = rng.normal(0.0, sigma_j, size=(env.t_max, env.d_a))
+    trajs = _record(
+        env, lambda obs, t: env.expert_actions(obs, noise[:, t]), n_traj)
     return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
 
 

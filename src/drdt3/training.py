@@ -90,10 +90,13 @@ def dt3_loss(pred, target, pad_mask, a_max, norm="l1"):
     """Masked sequence action loss, scaled by 1 / (K * a_max).
 
     pred/target: (K, d_a) or (B, K, d_a) with pad_mask (K,) or (B, K);
-    batched inputs average over the batch.
+    batched inputs average over the batch. `norm` "l1" takes absolute
+    errors, "l2" squared ones.
     """
     if a_max <= 0:
         raise ValueError("a_max must be positive")
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"unknown dt3 loss norm {norm!r}")
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ad.ShapeError(f"pred {pred.shape} vs target {target.shape}")

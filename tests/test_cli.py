@@ -30,6 +30,31 @@ eval_episodes = 1
 """
 
 
+ADDRESS_SPACE = 2 * 10 ** 9
+
+
+def _main_under_address_limit(*argv):
+    """`drdt3 *argv` in a child process whose address space is limited to
+    ADDRESS_SPACE bytes, so that a count too large to allocate fails there
+    instead of exhausting the machine."""
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, "
+             f"{ADDRESS_SPACE}))\n"
+             "from drdt3.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(ad.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", child, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120)
+
+
+def _assert_one_error_line(proc):
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A dataset, config, and trained run shared by the read-only tests."""
@@ -90,6 +115,19 @@ class TestGenData:
         rc = main(["gen-data", "--env", "stitchchain", "--tier", "stitch",
                    "--n-traj", "0", "--out", str(tmp_path / "d.bin")])
         assert rc != 0
+
+    @pytest.mark.parametrize("env", ["pointreach", "stitchchain"])
+    def test_count_too_large_to_allocate_exit_one(self, tmp_path, env):
+        """A noisy-expert tier draws its (n_traj, t_max, d_a) noise block up
+        front: a count whose block cannot be allocated ends in one `error:`
+        line naming the option, not a traceback."""
+        out = tmp_path / "d.bin"
+        proc = _main_under_address_limit(
+            "gen-data", "--env", env, "--tier", "medium", "--n-traj",
+            10 ** 8, "--out", out)
+        _assert_one_error_line(proc)
+        assert "--n-traj" in proc.stderr and "allocate" in proc.stderr
+        assert not out.exists()
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -398,6 +436,16 @@ class TestEval:
         rc = main(["eval", "--bundle", bundle, flag, value])
         assert rc == 1
         assert flag.lstrip("-") in capsys.readouterr().err
+
+    def test_count_too_large_to_allocate_exit_one(self, workspace,
+                                                  tmp_path):
+        out = tmp_path / "e.csv"
+        proc = _main_under_address_limit(
+            "eval", "--bundle", workspace / "run" / "bundle.drdt3",
+            "--episodes", 10 ** 12, "--out", out)
+        _assert_one_error_line(proc)
+        assert "--episodes" in proc.stderr and "allocate" in proc.stderr
+        assert not out.exists()
 
     def test_diverged_checkpoint_prints_only_its_error(self, workspace,
                                                        tmp_path):

@@ -11,7 +11,10 @@ from drdt3.envs import (StitchChain, PointReach, Trajectory, TrajectoryStore,
 
 # ---------------------------------------------------------------------------
 # Oracles: the one-episode environments and the sequential scorer as they
-# were before the batched dynamics and the lockstep lanes.
+# were before the batched dynamics and the lockstep lanes. The scorer and
+# the noisy-expert recorder step one episode at a time, and each episode
+# reads its own block of t_max steps' draws: after it ends, the policy is
+# still called until step t_max and what it draws is discarded.
 # ---------------------------------------------------------------------------
 
 class SequentialPointReach(PointReach):
@@ -64,6 +67,8 @@ def sequential_run_policy(env, policy, rng, episodes):
         while not done:
             state, r, done = env.step(policy(state, rng))
             total += r
+        for _ in range(env.t, env.t_max):
+            policy(state, rng)
     return total / episodes
 
 
@@ -78,8 +83,9 @@ def sequential_sigma_returns(env_id, rng, episodes=40):
     return returns
 
 
-def sequential_record_episode(env, policy, rng, start=None):
-    """One episode, one `env.step` at a time."""
+def sequential_record_episode(env, policy, rng, start=None, block=False):
+    """One episode, one `env.step` at a time. With `block`, it reads its
+    whole block of t_max steps' draws."""
     states, actions, rewards = [], [], []
     state = env.reset(start=start)
     done = False
@@ -89,12 +95,16 @@ def sequential_record_episode(env, policy, rng, start=None):
         actions.append(np.atleast_1d(a))
         state, r, done = env.step(a)
         rewards.append(r)
+    if block:
+        for _ in range(env.t, env.t_max):
+            policy(state, rng)
     return Trajectory(np.array(states), np.array(actions), np.array(rewards))
 
 
 def sequential_generate_dataset(env_id, tier, n_traj, seed):
-    """Every tier recorded one episode at a time from one shared stream.
-    The sigma calibration is the lockstep one, which
+    """Every tier recorded one episode at a time from one shared stream,
+    each noisy-expert episode reading its own block of it. The sigma
+    calibration is the lockstep one, which
     `TestLockstepLanes` holds equal to `sequential_calibrate`."""
     rng = np.random.default_rng(seed)
     spec = make_env_spec(env_id)
@@ -123,7 +133,8 @@ def sequential_generate_dataset(env_id, tier, n_traj, seed):
         for sigma_j in sigmas:
             env = env_cls()
             trajs.append(sequential_record_episode(
-                env, lambda s, g: env.expert_action(s, g, sigma_j), rng))
+                env, lambda s, g: env.expert_action(s, g, sigma_j), rng,
+                block=True))
     return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
 
 
@@ -362,9 +373,10 @@ class TestLockstepLanes:
         assert (spec.random_score, spec.expert_score) == (random_score,
                                                           expert_score)
 
-    def test_variable_length_lanes_follow_their_own_chains(self):
+    def test_variable_length_lanes_read_their_own_blocks(self):
         """Lanes whose episodes end at different steps: each lane's mean
-        matches the sequential scorer on its own stream."""
+        matches the sequential scorer on its own stream, each episode
+        reading its own block of it."""
         cls, episodes = StitchChain, 7
         noise = np.random.default_rng(11).uniform(
             -0.2, 1.0, size=(4, episodes * cls.t_max, 1))
@@ -376,6 +388,53 @@ class TestLockstepLanes:
                 episodes)
             assert got[lane] == want
         assert len(set(got.tolist())) > 1
+
+    def test_episodes_are_independent_of_each_others_lengths(self):
+        """An episode's return depends on its own block of t_max rows
+        only: the rows after its end are read by no one, and another
+        episode's block does not move it."""
+        cls, lanes, episodes = StitchChain, 4, 7
+        t_max = cls.t_max
+        noise = np.random.default_rng(11).uniform(
+            -0.2, 1.0, size=(lanes, episodes * t_max, 1))
+        # Lane 0 stands still, but for episode 2, which goes full speed and
+        # reaches the goal after 8 of its t_max steps.
+        noise[0] = 0.0
+        noise[0, 2 * t_max:2 * t_max + 8] = 1.0
+
+        def lane_means(noise):
+            return envs.lane_returns(cls, lambda s, u: u, noise, episodes)
+
+        def block_returns(noise):
+            """Each block run alone, as a lane of one episode."""
+            return envs.lane_returns(
+                cls, lambda s, u: u, noise.reshape(-1, t_max, 1), 1
+            ).reshape(lanes, episodes)
+
+        _, lengths = envs.run_lockstep(
+            cls, lambda s, t: noise.reshape(-1, t_max, 1)[:, t],
+            lanes * episodes)
+        assert lengths[:4].tolist() == [t_max, t_max, 8, t_max]
+        assert len(set(lengths.tolist())) > 2
+        means = lane_means(noise)
+        # Full speed in the rows after episode 2's end would carry an
+        # episode that started there to the goal.
+        tail = noise.copy()
+        tail[0, 2 * t_max + 8:3 * t_max] = 1.0
+        assert lane_means(tail).tobytes() == means.tobytes()
+
+        each = block_returns(noise)
+        assert each[0].tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        assert means.tobytes() == (each.sum(axis=1) / episodes).tobytes()
+        # Episode 1 now reaches the goal after 8 steps; episode 2 and every
+        # other one keep their returns.
+        other = noise.copy()
+        other[0, t_max:2 * t_max] = 1.0
+        moved = each.copy()
+        moved[0, 1] = 1.0
+        assert block_returns(other).tobytes() == moved.tobytes()
+        assert (lane_means(other).tobytes()
+                == (moved.sum(axis=1) / episodes).tobytes())
 
 
 class TestEnvSpec:

@@ -82,6 +82,12 @@ class TestDT3Loss:
         m = np.array([True])
         assert dt3_loss(p, t, m, 1.0, norm="l2").data == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("norm", ["L1", "l1 ", "huber", None])
+    def test_unknown_norm_rejected(self, norm):
+        with pytest.raises(ValueError, match="norm"):
+            dt3_loss(DArray(np.zeros((1, 1))), np.zeros((1, 1)),
+                     np.array([True]), 1.0, norm=norm)
+
     def test_batched_equals_mean_of_per_sample(self):
         rng = np.random.default_rng(1)
         p = rng.normal(size=(3, 6, 2))
