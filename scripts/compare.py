@@ -95,6 +95,10 @@ def main(argv=None):
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: the config's model needs more memory than is "
+              f"available: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -104,6 +104,10 @@ def cmd_train(args):
         return _fail(e)
     except ActionError as e:
         return _fail(f"per-epoch evaluation failed: {e}")
+    except MemoryError as e:
+        return _fail(f"a model of embed_dim {cfg.embed_dim} at batch_size "
+                     f"{cfg.batch_size} needs more memory than is "
+                     f"available: {e}")
     except TrainingAborted as e:
         print(f"aborted: {e}; last checkpoint kept in {args.out}",
               file=sys.stderr)

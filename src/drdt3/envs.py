@@ -5,15 +5,17 @@ StitchChain: 1-D corridor with a single sparse reward at the far end; its
 "stitch" dataset splits the route into two trajectory families so that no
 single dataset episode solves the task from the true start.
 
-Each env class declares its action bound `a_max` and the dataset `tiers`
-it offers, and owns any recipe beyond the shared noisy-expert tiers. Each
-has one batched `dynamics` over (E, .) states; `step` is its one-episode
-case. Offline episodes (the reference scores, the sigma calibration and
-every dataset tier) are stepped by one loop, `run_lockstep`. A scored or
-noisy-expert episode reads its own block of t_max rows of its stream,
-whether or not it lasts that long, so all of them run as one batch on
-draws made up front. The stitch tier's family A, whose draws depend on
-its state, runs one episode at a time.
+An env class declares its constants, the width `d_state` of its state
+row, one batched `dynamics` over (E, d_state) states, its
+`expert_actions`, the dataset `tiers` it offers and any recipe of its own
+beyond the shared noisy-expert tiers. `reset` and `step` are shared: an
+episode is the (d_state,) row `state` and the step count `t`, stepped as
+a one-row batch of `dynamics`. Offline episodes (the reference scores,
+the sigma calibration and every dataset tier) are stepped by one loop,
+`run_lockstep`. A scored or noisy-expert episode reads its own block of
+t_max rows of its stream, whether or not it lasts that long, so all of
+them run as one batch on draws made up front. The stitch tier's family
+A, whose draws depend on its state, runs one episode at a time.
 `rollout` steps one episode of an env under any policy. The module knows
 nothing of the model: the evaluation policy lives in `training`.
 """
@@ -157,6 +159,27 @@ def _check_action(action, d_a):
         raise ActionError(f"action must be finite, got {np.asarray(action)}")
 
 
+def _reset(self, start=None):
+    """Start an episode at the observation `start`, or at the env's start
+    state; returns the first observation."""
+    self.state = np.zeros(self.d_state)
+    if start is not None:
+        self.state[:self.d_s] = start
+    self.t = 0
+    return self.state[:self.d_s].copy()
+
+
+def _step(self, action):
+    """One step of the episode: `dynamics` on a one-row batch. Returns the
+    next observation, the reward and whether the episode is done."""
+    _check_action(action, self.d_a)
+    state, reward, done = self.dynamics(
+        self.state[None], self.t, np.asarray(action, dtype=float)[None])
+    self.state = state[0]
+    self.t += 1
+    return self.state[:self.d_s].copy(), float(reward[0]), bool(done[0])
+
+
 class PointReach:
     """2-D point mass: state (pos, vel) in R^4, action = acceleration in
     [-a_max, a_max]^2, Euler step dt=0.1, reward -|pos - goal|, horizon 50."""
@@ -170,14 +193,8 @@ class PointReach:
     dt = 0.1
     goal = np.array([1.0, 1.0])
 
-    def __init__(self):
-        self.state = None
-        self.t = 0
-
-    def reset(self, start=None):
-        self.state = np.zeros(4) if start is None else np.array(start, dtype=float)
-        self.t = 0
-        return self.state.copy()
+    reset = _reset
+    step = _step
 
     @classmethod
     def dynamics(cls, state, t, action):
@@ -191,14 +208,6 @@ class PointReach:
         # norm(axis=-1) rounds differently.
         return (np.concatenate([pos, vel], axis=1), -np.sqrt(np.vecdot(d, d)),
                 np.full(len(state), t + 1 >= cls.t_max))
-
-    def step(self, action):
-        _check_action(action, self.d_a)
-        state, reward, _ = self.dynamics(
-            self.state[None], self.t, np.asarray(action, dtype=float)[None])
-        self.state = state[0]
-        self.t += 1
-        return self.state.copy(), float(reward[0]), self.t >= self.t_max
 
     @classmethod
     def expert_actions(cls, states, noise=None):
@@ -221,16 +230,8 @@ class StitchChain:
     reward_kind = "sparse"
     tiers = ("medium", "medium-replay", "stitch")
 
-    def __init__(self):
-        self.pos = 0.0
-        self.t = 0
-        self.rewarded = False
-
-    def reset(self, start=None):
-        self.pos = 0.0 if start is None else float(start)
-        self.t = 0
-        self.rewarded = False
-        return np.array([self.pos])
+    reset = _reset
+    step = _step
 
     @classmethod
     def dynamics(cls, state, t, action):
@@ -245,15 +246,6 @@ class StitchChain:
         reward = (nxt[:, 0] >= 8.0) * (1.0 - state[:, 1])
         nxt[:, 1] += reward
         return nxt, reward, (nxt[:, 1] == 1.0) | (t + 1 >= cls.t_max)
-
-    def step(self, action):
-        _check_action(action, self.d_a)
-        state, reward, done = self.dynamics(
-            np.array([[self.pos, float(self.rewarded)]]), self.t,
-            np.asarray(action, dtype=float)[None])
-        self.pos, self.rewarded = float(state[0, 0]), bool(state[0, 1])
-        self.t += 1
-        return state[0, :1], float(reward[0]), bool(done[0])
 
     @classmethod
     def expert_actions(cls, states, noise=None):

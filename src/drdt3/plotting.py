@@ -4,6 +4,7 @@ comment block, so plots stay auditable without the CSV at hand."""
 from __future__ import annotations
 
 import csv
+import math
 
 
 class PlotError(ValueError):
@@ -36,9 +37,13 @@ def read_metric_csv(path, column=None):
                     raise PlotError(f"row {lineno}: expected {len(header)} "
                                     f"fields, got {len(row)}")
                 try:
-                    rows.append((float(row[0]), float(row[col])))
+                    x, y = float(row[0]), float(row[col])
                 except ValueError as e:
                     raise PlotError(f"row {lineno}: {e}") from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise PlotError(f"row {lineno}: non-finite value in "
+                                    f"({row[0]}, {row[col]})")
+                rows.append((x, y))
     except UnicodeDecodeError as e:
         raise PlotError(f"{path} is not UTF-8 text: {e}") from None
     if not rows:

@@ -309,6 +309,19 @@ class TestTrain:
         assert err.startswith("aborted:") and "Traceback" not in err
         load_bundle(out / "bundle.drdt3")
 
+    def test_model_too_large_to_allocate_exit_one(self, workspace, tmp_path):
+        """A model whose weights cannot be allocated ends in one `error:`
+        line naming its size, not a traceback."""
+        cfg, out = tmp_path / "huge-model.cfg", tmp_path / "r"
+        cfg.write_text(TINY_CFG.replace("embed_dim = 8", "embed_dim = 100000"))
+        proc = _main_under_address_limit(
+            "train", "--config", cfg, "--data", workspace / "stitch.bin",
+            "--out", out)
+        _assert_one_error_line(proc)
+        assert "embed_dim 100000" in proc.stderr
+        assert "allocate" in proc.stderr
+        assert not (out / "manifest.json").exists()
+
     def test_missing_data_exit_one(self, workspace, tmp_path):
         rc = main(["train", "--config", str(workspace / "tiny.cfg"),
                    "--data", str(tmp_path / "nope.bin"),
@@ -646,6 +659,22 @@ class TestPlot:
         src.write_text("update_idx,l_total\n0,1.0\n1\n")
         with pytest.raises(PlotError, match="row 3"):
             plot_metrics(str(src), str(tmp_path / "x.svg"))
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("column", ["x", "plotted"])
+    def test_non_finite_value_exit_one(self, tmp_path, capsys, column, bad):
+        """A non-finite x or plotted value would reach the SVG as a `nan`
+        coordinate; it is rejected with the row that holds it."""
+        src, out = tmp_path / "m.csv", tmp_path / "m.svg"
+        row = [bad, "1.0", "2.0", "3.0"] if column == "x" else \
+            ["1", "1.0", "2.0", bad]
+        src.write_text("update_idx,l_diff,l_dt3,l_total\n0,1.0,2.0,3.0\n"
+                       + ",".join(row) + "\n")
+        rc = main(["plot", "--metrics", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: row 3") and "non-finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, named", [
         (["--column", "nope"], "'nope'"),

@@ -37,6 +37,12 @@ class SequentialPointReach(PointReach):
 
 
 class SequentialStitchChain(StitchChain):
+    def reset(self, start=None):
+        self.pos = 0.0 if start is None else float(start)
+        self.t = 0
+        self.rewarded = False
+        return np.array([self.pos])
+
     def step(self, action):
         a = float(np.clip(np.asarray(action).reshape(-1)[0], -1.0, 1.0))
         self.pos = float(np.clip(self.pos + a, 0.0, 8.0))
@@ -193,20 +199,44 @@ class TestInitialRtg:
 
 
 class TestRollout:
-    @pytest.mark.parametrize("env_cls", [PointReach, StitchChain])
-    def test_expert_episode_equals_lockstep_record(self, env_cls):
-        """`rollout` with the scripted expert records bitwise the episode
-        that `run_lockstep` records for one lane."""
+    @pytest.mark.parametrize("env_cls, policy", [
+        (PointReach, "expert"), (StitchChain, "expert"),
+        (PointReach, "random"), (StitchChain, "random"),
+    ], ids=["PointReach", "StitchChain", "PointReach-random",
+            "StitchChain-random"])
+    def test_expert_episode_equals_lockstep_record(self, env_cls, policy):
+        """`rollout` under the scripted expert, or under uniform random
+        actions from a seeded generator, records bitwise the episode that
+        `run_lockstep` records for one lane. A random stitchchain episode
+        runs to t_max."""
+        if policy == "expert":
+            def act(obs, t):
+                return env_cls.expert_actions(obs)
+        else:
+            draws = np.random.default_rng(11).uniform(
+                -env_cls.a_max, env_cls.a_max, (env_cls.t_max, 1, env_cls.d_a))
+
+            def act(obs, t):
+                return draws[t]
         traj = rollout(env_cls(), lambda states, actions, rewards, t:
-                       env_cls.expert_actions(states[t:t + 1])[0])
+                       act(states[t:t + 1], t)[0])
         rewards, lengths, observations, actions = envs.run_lockstep(
-            env_cls, lambda obs, t: env_cls.expert_actions(obs), 1,
-            record=True)
+            env_cls, act, 1, record=True)
         m = lengths[0]
         assert traj.length == m
         assert np.array_equal(traj.states, observations[0, :m])
         assert np.array_equal(traj.actions, actions[0, :m])
         assert np.array_equal(traj.rewards, rewards[0, :m])
+        if policy == "random":
+            assert m == env_cls.t_max
+
+    def test_every_env_binds_the_shared_reset_and_step(self):
+        """No env class writes its own episode code: each binds the
+        module's one `reset` and `step`."""
+        for cls in envs.ENVS.values():
+            assert vars(cls)["reset"] is envs._reset, cls.__name__
+            assert vars(cls)["step"] is envs._step, cls.__name__
+            assert "__init__" not in vars(cls), cls.__name__
 
     def test_policy_sees_the_episode_so_far(self):
         """At step t the policy reads the state to act on in row t and the
@@ -247,7 +277,7 @@ class TestEnvs:
         env.reset(start=7.5)
         _, r1, _ = env.step(np.array([1.0]))
         assert r1 == 1.0
-        env.rewarded = True  # already consumed
+        env.state[1] = 1.0  # already consumed
         _, r2, _ = env.step(np.array([0.1]))
         assert r2 == 0.0
 

@@ -78,6 +78,30 @@ def test_rows_for_every_method_equal_the_library(workspace):
         [*log.updates[-1][1:], *scores]
 
 
+def test_model_too_large_to_allocate_exit_one(workspace, tmp_path):
+    """A model whose weights cannot be allocated, in a child process whose
+    address space is limited to 2 GB: one `error:` line, not a
+    traceback."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TINY_CFG.replace("embed_dim = 8", "embed_dim = 100000"))
+    limit = 2 * 10 ** 9
+    child = ("import resource, runpy, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+             "sys.argv = sys.argv[1:]\n"
+             "runpy.run_path(sys.argv[0], run_name='__main__')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(SCRIPT), "--data",
+         str(workspace / "store.bin"), "--config", str(cfg), "--seeds", "0",
+         "--episodes", "1"],
+        cwd=tmp_path, env=dict(env, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "allocate" in proc.stderr
+
+
 @pytest.mark.parametrize("case", ["malformed-config", "not-a-store"])
 def test_bad_input_exit_one(workspace, tmp_path, case):
     data, cfg = workspace / "store.bin", workspace / "tiny.cfg"
