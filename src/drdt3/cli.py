@@ -78,10 +78,6 @@ def cmd_train(args):
         store = load_store(args.data)
     except (StoreFormatError, OSError) as e:
         return _fail(e)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as e:
-        return _fail(f"cannot write the run to {args.out}: {e}")
     bundle0, log0 = None, None
     bundle_path = os.path.join(args.out, "bundle.drdt3")
     if getattr(args, "resume", False):
@@ -96,18 +92,32 @@ def cmd_train(args):
         cfg = bundle0.config
         if args.seed is not None:
             cfg.seed = args.seed
+    # A resumed run's directory holds its checkpoint, so it already exists.
+    created = not os.path.isdir(args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        return _fail(f"cannot write the run to {args.out}: {e}")
+
+    def fail_before_writing(msg):
+        # A run that ends before its first checkpoint leaves no directory
+        # that it made behind.
+        if created and not os.listdir(args.out):
+            os.rmdir(args.out)
+        return _fail(msg)
+
     started = time.time()
     try:
         bundle, log = train(cfg, store, out_dir=args.out,
                             bundle=bundle0, log=log0)
     except DatasetRejected as e:
-        return _fail(e)
+        return fail_before_writing(e)
     except ActionError as e:
-        return _fail(f"per-epoch evaluation failed: {e}")
+        return fail_before_writing(f"per-epoch evaluation failed: {e}")
     except MemoryError as e:
-        return _fail(f"a model of embed_dim {cfg.embed_dim} at batch_size "
-                     f"{cfg.batch_size} needs more memory than is "
-                     f"available: {e}")
+        return fail_before_writing(
+            f"a model of embed_dim {cfg.embed_dim} at batch_size "
+            f"{cfg.batch_size} needs more memory than is available: {e}")
     except TrainingAborted as e:
         print(f"aborted: {e}; last checkpoint kept in {args.out}",
               file=sys.stderr)

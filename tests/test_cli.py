@@ -13,6 +13,7 @@ from drdt3 import autodiff as ad
 from drdt3 import checks
 from drdt3.autodiff import DArray
 from drdt3.cli import main
+from drdt3.envs import ENVS
 from drdt3.plotting import PlotError, moving_average, plot_metrics
 
 
@@ -136,6 +137,27 @@ class TestGenData:
                          "medium", "--n-traj", "3", "--seed", "5",
                          "--out", str(p)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("env_id,tier", [
+        (env_id, tier) for env_id, cls in ENVS.items() for tier in cls.tiers])
+    def test_every_tier_reproducible_by_seed(self, tmp_path, env_id, tier):
+        """A store written in another process at the same seed has the
+        same bytes; one at another seed does not."""
+        def gen_data(path, seed, child=False):
+            argv = ["gen-data", "--env", env_id, "--tier", tier, "--n-traj",
+                    "7", "--seed", str(seed), "--out", str(path)]
+            if child:
+                src = str(Path(ad.__file__).resolve().parents[1])
+                subprocess.run([sys.executable, "-m", "drdt3.cli", *argv],
+                               env=dict(os.environ, PYTHONPATH=src),
+                               check=True, capture_output=True, timeout=120)
+            else:
+                assert main(argv) == 0
+            return path.read_bytes()
+
+        first = gen_data(tmp_path / "a.bin", 5)
+        assert gen_data(tmp_path / "b.bin", 5, child=True) == first
+        assert gen_data(tmp_path / "c.bin", 6) != first
 
     def test_text_export_alongside(self, tmp_path):
         rc = main(["gen-data", "--env", "stitchchain", "--tier", "stitch",
@@ -412,6 +434,48 @@ class TestTrain:
                    "--data", str(workspace / "stitch.bin"),
                    "--out", str(tmp_path / "fresh"), "--resume"])
         assert rc == 1
+
+    @pytest.mark.parametrize("case", ["model-too-large", "episode-too-long"])
+    def test_failed_run_removes_the_out_dir_it_made(self, workspace,
+                                                    tmp_path, case):
+        """A run that fails before its first checkpoint, on a model too
+        large to allocate or on a dataset it rejects (stitch episodes last
+        up to 20 steps), leaves no run directory behind."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "r"
+        cfg.write_text(
+            TINY_CFG.replace("embed_dim = 8", "embed_dim = 100000")
+            if case == "model-too-large" else
+            TINY_CFG.replace("max_episode_len = 32", "max_episode_len = 8"))
+        proc = _main_under_address_limit(
+            "train", "--config", cfg, "--data", workspace / "stitch.bin",
+            "--out", out)
+        _assert_one_error_line(proc)
+        assert ("allocate" if case == "model-too-large" else
+                "shorter than the longest trajectory") in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    @pytest.mark.parametrize("content", ["empty", "with-a-file"])
+    def test_failed_run_keeps_an_out_dir_that_existed(self, workspace,
+                                                      tmp_path, resume,
+                                                      content):
+        """A directory the run did not make stays, empty or not, and a
+        `--resume` without a checkpoint makes none."""
+        cfg, out = tmp_path / "short.cfg", tmp_path / "r"
+        cfg.write_text(TINY_CFG.replace("max_episode_len = 32",
+                                        "max_episode_len = 8"))
+        args = ["train", "--config", str(cfg), "--data",
+                str(workspace / "stitch.bin"), "--out", str(out)]
+        if resume:
+            assert main(args + ["--resume"]) == 1
+            assert not out.exists()
+            args.append("--resume")
+        out.mkdir()
+        if content == "with-a-file":
+            (out / "notes.txt").write_text("kept\n")
+        assert main(args) == 1
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["notes.txt"] if content == "with-a-file" else [])
 
 
 class TestEval:

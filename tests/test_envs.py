@@ -28,9 +28,9 @@ class SequentialPointReach(PointReach):
         reward = -float(np.linalg.norm(pos - self.goal))
         return self.state.copy(), reward, self.t >= 50
 
-    def expert_action(self, state, rng=None, sigma=0.0):
+    def expert_action(self, state, rng=None, sigma=0.0, gain=1.0):
         pos, vel = state[:2], state[2:]
-        a = 4.0 * (self.goal - pos) - 3.0 * vel
+        a = gain * (4.0 * (self.goal - pos) - 3.0 * vel)
         if sigma > 0.0:
             a = a + rng.normal(0.0, sigma, size=2)
         return np.clip(a, -1.0, 1.0)
@@ -54,8 +54,8 @@ class SequentialStitchChain(StitchChain):
         done = self.rewarded or self.t >= 20
         return np.array([self.pos]), reward, done
 
-    def expert_action(self, state, rng=None, sigma=0.0):
-        a = 1.0
+    def expert_action(self, state, rng=None, sigma=0.0, gain=1.0):
+        a = gain * 1.0
         if sigma > 0.0:
             a = a + rng.normal(0.0, sigma)
         return np.array([np.clip(a, -1.0, 1.0)])
@@ -109,11 +109,9 @@ def sequential_record_episode(env, policy, rng, start=None, block=False):
 
 def sequential_generate_dataset(env_id, tier, n_traj, seed):
     """Every tier recorded one episode at a time from one shared stream,
-    each noisy-expert episode reading its own block of it. The sigma
-    calibration is the lockstep one, which
-    `TestLockstepLanes` holds equal to `sequential_calibrate`."""
+    each `medium` or `medium-replay` episode reading its own block of it:
+    the slow expert at its gain, one noise draw per step."""
     rng = np.random.default_rng(seed)
-    spec = make_env_spec(env_id)
     env_cls = SEQUENTIAL[env_id]
     trajs = []
     if tier == "stitch":
@@ -131,27 +129,15 @@ def sequential_generate_dataset(env_id, tier, n_traj, seed):
                 trajs.append(sequential_record_episode(
                     env_cls(), lambda s, g: np.array([1.0]), rng, start=4.0))
     else:
-        target = spec.random_score + (spec.expert_score
-                                      - spec.random_score) / 3.0
-        sigma = envs._calibrate_medium_sigma(env_id, rng, target)
-        sigmas = ([sigma] * n_traj if tier == "medium" else
-                  list(np.linspace(max(2 * sigma, 1.0), sigma, n_traj)))
-        for sigma_j in sigmas:
+        gains = ([env_cls.medium_gain] * n_traj if tier == "medium" else
+                 list(np.linspace(0.0, env_cls.medium_gain, n_traj)))
+        for gain in gains:
             env = env_cls()
             trajs.append(sequential_record_episode(
-                env, lambda s, g: env.expert_action(s, g, sigma_j), rng,
-                block=True))
-    return TrajectoryStore(env_id, spec.d_s, spec.d_a, trajs)
-
-
-def sequential_calibrate(env_id, rng, target):
-    best_sigma, best_gap = 0.0, np.inf
-    for sigma, r in zip(np.linspace(0.0, 30.0, 31),
-                        sequential_sigma_returns(env_id, rng)):
-        gap = abs(r - target)
-        if gap < best_gap:
-            best_sigma, best_gap = sigma, gap
-    return best_sigma
+                env, lambda s, g: env.expert_action(s, g, env.cover_sigma,
+                                                    gain),
+                rng, block=True))
+    return TrajectoryStore(env_id, env_cls.d_s, env_cls.d_a, trajs)
 
 
 class TestComputeRtg:
@@ -377,18 +363,21 @@ class TestLockstepLanes:
     @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
     @pytest.mark.parametrize("seed", range(6))
     def test_sigma_returns_bitwise_equal_sequential(self, env_id, seed):
+        """31 lanes of the noisy expert, sigma 0 to 30, each on its own
+        stream seeded from one generator in sigma order: `lane_returns`
+        gives each lane's mean return over 40 episodes bitwise as the
+        sequential scorer does. The expert acts on the state, and
+        stitchchain's episodes end at different steps."""
+        cls, episodes = envs.env_class(env_id), 40
         rng_new, rng_old = (np.random.default_rng(seed) for _ in range(2))
-        _, got = envs._sigma_returns(env_id, rng_new)
-        want = sequential_sigma_returns(env_id, rng_old)
+        noise = np.stack([
+            np.random.default_rng(rng_new.integers(2**32)).normal(
+                0.0, sigma, size=(episodes * cls.t_max, cls.d_a))
+            for sigma in np.linspace(0.0, 30.0, 31)])
+        got = envs.lane_returns(cls, cls.expert_actions, noise, episodes)
+        want = sequential_sigma_returns(env_id, rng_old, episodes)
         assert got.tobytes() == np.array(want).tobytes()
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
-        spec = make_env_spec(env_id)
-        target = spec.random_score + (spec.expert_score
-                                      - spec.random_score) / 3.0
-        assert (envs._calibrate_medium_sigma(
-                    env_id, np.random.default_rng(seed), target)
-                == sequential_calibrate(
-                    env_id, np.random.default_rng(seed), target))
 
     @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
     def test_reference_scores_bitwise_equal_sequential(self, env_id):
@@ -538,6 +527,76 @@ class TestGenerateDataset:
         target = spec.random_score + (spec.expert_score - spec.random_score) / 3
         span = spec.expert_score - spec.random_score
         assert abs(mean_ret - target) < 0.15 * abs(span)
+
+    MEDIUM_TIERS = [(env_id, tier) for env_id in envs.ENVS
+                    for tier in ("medium", "medium-replay")]
+    # About four standard errors of a 200-episode mean: one episode's
+    # return has a std of 1.85 on pointreach and 0.47 on stitchchain.
+    MEDIUM_TOLERANCE = {"pointreach": 0.5, "stitchchain": 0.1}
+
+    @staticmethod
+    def mean_return(store):
+        return np.mean([t.ret for t in store.trajectories])
+
+    @staticmethod
+    def medium_target(env_id):
+        spec = make_env_spec(env_id)
+        return spec.random_score + (spec.expert_score
+                                    - spec.random_score) / 3.0
+
+    @pytest.mark.parametrize("env_id,tier", MEDIUM_TIERS)
+    def test_medium_tier_runs_one_lockstep(self, env_id, tier, monkeypatch):
+        """With the reference scores cached, a `medium` or `medium-replay`
+        tier is one batch of recorded episodes and nothing else."""
+        make_env_spec(env_id)
+        calls, run_lockstep = [], envs.run_lockstep
+
+        def counted(env_cls, policy, n, *args, **kwargs):
+            calls.append(n)
+            return run_lockstep(env_cls, policy, n, *args, **kwargs)
+
+        monkeypatch.setattr(envs, "run_lockstep", counted)
+        generate_dataset(env_id, tier, 40, seed=1)
+        assert calls == [40]
+
+    @pytest.mark.parametrize("env_id", list(envs.ENVS))
+    def test_medium_mean_return_near_target(self, env_id):
+        target = self.medium_target(env_id)
+        for seed in range(5):
+            got = self.mean_return(generate_dataset(env_id, "medium", 200,
+                                                    seed))
+            assert abs(got - target) < self.MEDIUM_TOLERANCE[env_id], \
+                (seed, got, target)
+
+    @pytest.mark.parametrize("env_id", list(envs.ENVS))
+    def test_medium_replay_between_gain_zero_and_medium(self, env_id):
+        """`medium-replay` goes from poor to medium: its mean return lies
+        above the recipe's at gain 0, on the same draws, and below the
+        `medium` target."""
+        cls, n = envs.env_class(env_id), 200
+        target = self.medium_target(env_id)
+        for seed in range(5):
+            noise = np.random.default_rng(seed).normal(
+                0.0, cls.cover_sigma, size=(n, cls.t_max, cls.d_a))
+            rewards, _ = envs.run_lockstep(
+                cls, lambda obs, t: cls.expert_actions(obs, noise[:, t], 0.0),
+                n)
+            gain_zero = rewards.sum(axis=1).mean()
+            got = self.mean_return(generate_dataset(env_id, "medium-replay",
+                                                    n, seed))
+            assert gain_zero < got < target, (seed, gain_zero, got, target)
+
+    @pytest.mark.parametrize("env_id,tier", MEDIUM_TIERS)
+    def test_saturated_share_at_most_the_experts(self, env_id, tier):
+        """No larger share of action components sits at +-a_max than in
+        the expert's own (deterministic) episode."""
+        cls = envs.env_class(env_id)
+        _, lengths, _, actions = envs.run_lockstep(
+            cls, lambda obs, t: cls.expert_actions(obs), 1, record=True)
+        expert = np.mean(np.abs(actions[0, :lengths[0]]) >= cls.a_max)
+        for seed in range(5):
+            store = generate_dataset(env_id, tier, 40, seed)
+            assert np.mean(np.abs(store.step_actions) >= cls.a_max) <= expert
 
     def test_invalid_tier(self):
         with pytest.raises(ValueError):
