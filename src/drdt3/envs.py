@@ -12,14 +12,15 @@ recipe of its own beyond the shared `medium` tiers. The medium recipe is
 a slow expert: the expert's action scaled by the class's `medium_gain`,
 plus Gaussian cover noise of the class's `cover_sigma`. `reset` and `step`
 are shared: an episode is the (d_state,) row `state` and the step count
-`t`, stepped as a one-row batch of `dynamics`. Offline episodes (the
-reference scores and every dataset tier) are stepped by one loop,
-`run_lockstep`. A scored or `medium` episode reads its own block of t_max
-rows of its draws, whether or not it lasts that long, so all of them run
-as one batch on draws made up front. The stitch tier's family A, whose
-draws depend on its state, runs one episode at a time. `rollout` steps
-one episode of an env under any policy. The module knows nothing of the
-model: the evaluation policy lives in `training`.
+`t`, stepped as a one-row batch of `dynamics`. Each class ships its
+reference scores, `random_score` and `expert_score`, as constants, as
+D4RL's envs do. Every dataset tier is stepped by one loop, `run_lockstep`.
+A `medium` episode reads its own block of t_max rows of its draws,
+whether or not it lasts that long, so all of them run as one batch on
+draws made up front. The stitch tier's family A, whose draws depend on
+its state, runs one episode at a time. `rollout` steps one episode of an
+env under any policy. The module knows nothing of the model: the
+evaluation policy lives in `training`.
 """
 
 from __future__ import annotations
@@ -202,6 +203,12 @@ class PointReach:
     # +-a_max; the expert's do 14% of the time.
     medium_gain = 0.0108
     cover_sigma = 0.05
+    # The reference scores: the mean return of 100 episodes stepped by
+    # `run_lockstep`, their rewards summed in step order. Random: uniform
+    # actions in the box from `default_rng(0)`, each episode reading its
+    # own block of t_max rows. Expert: `expert_actions`.
+    random_score = -80.71140806957135
+    expert_score = -13.920881537474568
 
     reset = _reset
     step = _step
@@ -248,6 +255,9 @@ class StitchChain:
     # 1. No action component reaches +-a_max; the expert's all do.
     medium_gain = 0.3903
     cover_sigma = 0.1
+    # The reference scores, measured as PointReach's are.
+    random_score = 0.0
+    expert_score = 1.0
 
     reset = _reset
     step = _step
@@ -311,7 +321,7 @@ class StitchChain:
 
 
 ENVS = {"pointreach": PointReach, "stitchchain": StitchChain}
-_SPEC_CACHE = {}
+_SPEC_CACHE = {}          # perfbench clears it before each timed set-up
 
 
 def env_class(env_id):
@@ -361,47 +371,17 @@ def run_lockstep(env_cls, policy, n, start=None, record=False):
     return rewards.T, lengths
 
 
-def lane_returns(env_cls, policy, noise, episodes):
-    """Mean return of `episodes` back-to-back episodes in each lane.
-
-    Lane l is one random stream: `noise[l]` holds its draws, one row per
-    step, and episode k reads rows k * t_max to (k + 1) * t_max - 1 of it,
-    whether or not it lasts that long. Every episode of every lane runs at
-    once under `run_lockstep`, where `policy(observations, rows)` acts on
-    them, and each lane's rewards are summed in step order, as `total += r`
-    sums them.
-    """
-    n_lanes, t_max = len(noise), env_cls.t_max
-    blocks = noise.reshape(n_lanes * episodes, t_max, noise.shape[2])
-    rewards, _ = run_lockstep(
-        env_cls, lambda obs, t: policy(obs, blocks[:, t]), len(blocks))
-    return np.cumsum(rewards.reshape(n_lanes, -1), axis=1)[:, -1] / episodes
-
-
 def make_env_spec(env_id):
-    """EnvSpec with reference scores measured from in-repo random and expert
-    controllers over 100 seeded episodes (cached per env)."""
-    if env_id in _SPEC_CACHE:
-        return _SPEC_CACHE[env_id]
-    env = env_class(env_id)
-    episodes = 100
-    steps = episodes * env.t_max
-    random_score = lane_returns(
-        env, lambda s, u: u,
-        np.random.default_rng(0).uniform(-env.a_max, env.a_max,
-                                         size=(1, steps, env.d_a)),
-        episodes)[0]
-    expert_score = lane_returns(
-        env, lambda s, u: env.expert_actions(s), np.zeros((1, steps, 0)),
-        episodes)[0]
-    spec = EnvSpec(
-        env_id=env_id, d_s=env.d_s, d_a=env.d_a, a_max=env.a_max,
-        t_max=env.t_max,
-        reward_kind=env.reward_kind,
-        random_score=float(random_score), expert_score=float(expert_score),
-    ).validate()
-    _SPEC_CACHE[env_id] = spec
-    return spec
+    """The EnvSpec of an env class, with the class's reference scores
+    (cached per env)."""
+    if env_id not in _SPEC_CACHE:
+        env = env_class(env_id)
+        _SPEC_CACHE[env_id] = EnvSpec(
+            env_id=env_id, d_s=env.d_s, d_a=env.d_a, a_max=env.a_max,
+            t_max=env.t_max, reward_kind=env.reward_kind,
+            random_score=env.random_score, expert_score=env.expert_score,
+        ).validate()
+    return _SPEC_CACHE[env_id]
 
 
 # ---------------------------------------------------------------------------

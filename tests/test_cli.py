@@ -291,12 +291,14 @@ class TestTrain:
         else:  # stitch episodes last up to 20 steps
             cfg = tmp_path / "short.cfg"
             cfg.write_text(TINY_CFG.replace("max_episode_len = 32",
-                                            "max_episode_len = 4"))
+                                            "max_episode_len = 8"))
         rc = main(["train", "--config", str(cfg), "--data", str(data),
                    "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
+        if case == "episode-too-long":
+            assert "shorter than the longest trajectory" in err
 
     def test_nonfinite_eval_action_exit_one(self, workspace, tmp_path,
                                              capsys):

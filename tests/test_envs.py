@@ -78,6 +78,21 @@ def sequential_run_policy(env, policy, rng, episodes):
     return total / episodes
 
 
+def lockstep_lane_means(cls, policy, noise, episodes):
+    """Mean return of `episodes` back-to-back episodes in each lane, all
+    run by one `envs.run_lockstep` call. Lane l is one random stream:
+    `noise[l]` holds its draws, one row per step, and episode k reads rows
+    k * t_max to (k + 1) * t_max - 1 of it, whether or not it lasts that
+    long; `policy(observations, rows)` acts on them. Each lane's rewards
+    are summed in step order, as the sequential scorer's `total += r`
+    sums them."""
+    n_lanes, t_max = len(noise), cls.t_max
+    blocks = noise.reshape(n_lanes * episodes, t_max, noise.shape[2])
+    rewards, _ = envs.run_lockstep(
+        cls, lambda obs, t: policy(obs, blocks[:, t]), len(blocks))
+    return np.cumsum(rewards.reshape(n_lanes, -1), axis=1)[:, -1] / episodes
+
+
 def sequential_sigma_returns(env_id, rng, episodes=40):
     returns = []
     for sigma in np.linspace(0.0, 30.0, 31):
@@ -364,43 +379,73 @@ class TestLockstepLanes:
     @pytest.mark.parametrize("seed", range(6))
     def test_sigma_returns_bitwise_equal_sequential(self, env_id, seed):
         """31 lanes of the noisy expert, sigma 0 to 30, each on its own
-        stream seeded from one generator in sigma order: `lane_returns`
-        gives each lane's mean return over 40 episodes bitwise as the
-        sequential scorer does. The expert acts on the state, and
-        stitchchain's episodes end at different steps."""
+        stream seeded from one generator in sigma order, all 1240 episodes
+        in one `run_lockstep` call: each lane's mean return over 40
+        episodes is bitwise the sequential scorer's. The expert acts on
+        the state, and stitchchain's episodes end at different steps."""
         cls, episodes = envs.env_class(env_id), 40
         rng_new, rng_old = (np.random.default_rng(seed) for _ in range(2))
         noise = np.stack([
             np.random.default_rng(rng_new.integers(2**32)).normal(
                 0.0, sigma, size=(episodes * cls.t_max, cls.d_a))
             for sigma in np.linspace(0.0, 30.0, 31)])
-        got = envs.lane_returns(cls, cls.expert_actions, noise, episodes)
+        got = lockstep_lane_means(cls, cls.expert_actions, noise, episodes)
         want = sequential_sigma_returns(env_id, rng_old, episodes)
         assert got.tobytes() == np.array(want).tobytes()
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
     @pytest.mark.parametrize("env_id", ["pointreach", "stitchchain"])
     def test_reference_scores_bitwise_equal_sequential(self, env_id):
+        """Each class's `random_score` and `expert_score` constants are the
+        mean returns of 100 lockstep episodes, bit for bit: random with
+        `default_rng(0)` uniform actions, each episode reading its own
+        block of t_max rows, and expert with `expert_actions`. The
+        sequential scorer gives the same bits, and so does `make_env_spec`.
+        """
+        cls, episodes = envs.env_class(env_id), 100
+        steps = episodes * cls.t_max
+        random_score = lockstep_lane_means(
+            cls, lambda s, u: u,
+            np.random.default_rng(0).uniform(-cls.a_max, cls.a_max,
+                                             size=(1, steps, cls.d_a)),
+            episodes)[0]
+        expert_score = lockstep_lane_means(
+            cls, lambda s, u: cls.expert_actions(s), np.zeros((1, steps, 0)),
+            episodes)[0]
+        assert (float(random_score).hex(), float(expert_score).hex()) == (
+            cls.random_score.hex(), cls.expert_score.hex())
         env = SEQUENTIAL[env_id]()
-        random_score = sequential_run_policy(
+        assert sequential_run_policy(
             env, lambda s, r: r.uniform(-1.0, 1.0, size=env.d_a),
-            np.random.default_rng(0), 100)
-        expert_score = sequential_run_policy(
-            env, lambda s, r: env.expert_action(s), np.random.default_rng(0),
-            100)
+            np.random.default_rng(0), episodes) == cls.random_score
+        assert sequential_run_policy(
+            env, lambda s, r: env.expert_action(s), None,
+            episodes) == cls.expert_score
         spec = make_env_spec(env_id)
-        assert (spec.random_score, spec.expert_score) == (random_score,
-                                                          expert_score)
+        assert (spec.random_score, spec.expert_score) == (cls.random_score,
+                                                          cls.expert_score)
 
     def test_variable_length_lanes_read_their_own_blocks(self):
-        """Lanes whose episodes end at different steps: each lane's mean
-        matches the sequential scorer on its own stream, each episode
-        reading its own block of it."""
-        cls, episodes = StitchChain, 7
+        """Episodes that end at different steps, all in one `run_lockstep`
+        call: each has the length and the rewards of the sequential episode
+        that reads its own block of rows, and each lane's mean matches the
+        sequential scorer on its own stream."""
+        cls, lanes, episodes = StitchChain, 4, 7
         noise = np.random.default_rng(11).uniform(
-            -0.2, 1.0, size=(4, episodes * cls.t_max, 1))
-        got = envs.lane_returns(cls, lambda s, u: u, noise, episodes)
-        for lane in range(4):
+            -0.2, 1.0, size=(lanes, episodes * cls.t_max, 1))
+        blocks = noise.reshape(-1, cls.t_max, 1)
+        rewards, lengths = envs.run_lockstep(
+            cls, lambda s, t: blocks[:, t], len(blocks))
+        for j, block in enumerate(blocks):
+            want = sequential_record_episode(
+                SequentialStitchChain(), lambda s, r: next(r), iter(block))
+            assert lengths[j] == want.length
+            assert (rewards[j, :want.length].tobytes()
+                    == want.rewards.tobytes())
+            assert not rewards[j, want.length:].any()
+        assert len(set(lengths.tolist())) > 2
+        got = lockstep_lane_means(cls, lambda s, u: u, noise, episodes)
+        for lane in range(lanes):
             steps = iter(noise[lane])
             want = sequential_run_policy(
                 SequentialStitchChain(), lambda s, r: next(steps), None,
@@ -409,51 +454,44 @@ class TestLockstepLanes:
         assert len(set(got.tolist())) > 1
 
     def test_episodes_are_independent_of_each_others_lengths(self):
-        """An episode's return depends on its own block of t_max rows
-        only: the rows after its end are read by no one, and another
-        episode's block does not move it."""
-        cls, lanes, episodes = StitchChain, 4, 7
-        t_max = cls.t_max
-        noise = np.random.default_rng(11).uniform(
-            -0.2, 1.0, size=(lanes, episodes * t_max, 1))
-        # Lane 0 stands still, but for episode 2, which goes full speed and
-        # reaches the goal after 8 of its t_max steps.
-        noise[0] = 0.0
-        noise[0, 2 * t_max:2 * t_max + 8] = 1.0
+        """In one `run_lockstep` call, an episode's rewards depend on its
+        own block of t_max rows only: the rows after its end are read by
+        no one, and another episode's block does not move it."""
+        cls, t_max = StitchChain, StitchChain.t_max
+        blocks = np.random.default_rng(11).uniform(
+            -0.2, 1.0, size=(28, t_max, 1))
+        # Episodes 0-6 stand still, but for episode 2, which goes full
+        # speed and reaches the goal after 8 of its t_max steps.
+        blocks[:7] = 0.0
+        blocks[2, :8] = 1.0
 
-        def lane_means(noise):
-            return envs.lane_returns(cls, lambda s, u: u, noise, episodes)
+        def run(blocks):
+            return envs.run_lockstep(cls, lambda s, t: blocks[:, t],
+                                     len(blocks))
 
-        def block_returns(noise):
-            """Each block run alone, as a lane of one episode."""
-            return envs.lane_returns(
-                cls, lambda s, u: u, noise.reshape(-1, t_max, 1), 1
-            ).reshape(lanes, episodes)
-
-        _, lengths = envs.run_lockstep(
-            cls, lambda s, t: noise.reshape(-1, t_max, 1)[:, t],
-            lanes * episodes)
+        rewards, lengths = run(blocks)
         assert lengths[:4].tolist() == [t_max, t_max, 8, t_max]
         assert len(set(lengths.tolist())) > 2
-        means = lane_means(noise)
+        assert rewards[:7].sum(axis=1).tolist() == [0, 0, 1, 0, 0, 0, 0]
         # Full speed in the rows after episode 2's end would carry an
         # episode that started there to the goal.
-        tail = noise.copy()
-        tail[0, 2 * t_max + 8:3 * t_max] = 1.0
-        assert lane_means(tail).tobytes() == means.tobytes()
-
-        each = block_returns(noise)
-        assert each[0].tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        assert means.tobytes() == (each.sum(axis=1) / episodes).tobytes()
-        # Episode 1 now reaches the goal after 8 steps; episode 2 and every
-        # other one keep their returns.
-        other = noise.copy()
-        other[0, t_max:2 * t_max] = 1.0
-        moved = each.copy()
-        moved[0, 1] = 1.0
-        assert block_returns(other).tobytes() == moved.tobytes()
-        assert (lane_means(other).tobytes()
-                == (moved.sum(axis=1) / episodes).tobytes())
+        tail = blocks.copy()
+        tail[2, 8:] = 1.0
+        for got, want in zip(run(tail), (rewards, lengths)):
+            assert got.tobytes() == want.tobytes()
+        for j in range(len(blocks)):
+            alone_rewards, alone_lengths = run(blocks[j:j + 1])
+            assert alone_rewards.tobytes() == rewards[j].tobytes()
+            assert alone_lengths[0] == lengths[j]
+        # Episode 1 now reaches the goal after 8 steps; every other episode
+        # keeps its rewards and its length.
+        other = blocks.copy()
+        other[1] = 1.0
+        moved_rewards, moved_lengths = run(other)
+        assert (moved_lengths[1], moved_rewards[1].sum()) == (8, 1.0)
+        keep = np.arange(len(blocks)) != 1
+        assert moved_rewards[keep].tobytes() == rewards[keep].tobytes()
+        assert moved_lengths[keep].tobytes() == lengths[keep].tobytes()
 
 
 class TestEnvSpec:
@@ -461,6 +499,24 @@ class TestEnvSpec:
         for env_id in ("pointreach", "stitchchain"):
             spec = make_env_spec(env_id)
             assert spec.expert_score > spec.random_score
+
+    def test_cold_spec_runs_no_episodes(self, monkeypatch):
+        """With the cache cleared, both envs' specs come from their class
+        constants: no episode is stepped."""
+        calls, run_lockstep = [], envs.run_lockstep
+
+        def counted(env_cls, policy, n, *args, **kwargs):
+            calls.append(n)
+            return run_lockstep(env_cls, policy, n, *args, **kwargs)
+
+        monkeypatch.setattr(envs, "run_lockstep", counted)
+        monkeypatch.setattr(envs, "_SPEC_CACHE", {})
+        specs = {env_id: make_env_spec(env_id) for env_id in envs.ENVS}
+        assert calls == []
+        for env_id, spec in specs.items():
+            cls = envs.env_class(env_id)
+            assert (spec.random_score, spec.expert_score) == (
+                cls.random_score, cls.expert_score)
 
     def test_unknown_env(self):
         with pytest.raises(ValueError):
